@@ -21,9 +21,6 @@ SEMANTICS = ("grounded", "complete", "preferred", "stable")
 #: Largest argument count accepted by extension enumeration (2^n subsets).
 ENUMERATION_CAP = 16
 
-_POPCOUNT = np.array([bin(i).count("1") for i in range(1 << 16)], dtype=np.uint8)
-
-
 def popcount(mask: int) -> int:
     return int(mask).bit_count()
 

@@ -78,7 +78,7 @@ def _resolve_run_config(args) -> io.RunConfig:
     priors = base.priors
     lam = getattr(args, "lam", None)
     if lam is not None:
-        priors = tuple(float(x) for x in lam.split(",")) if "," in lam else float(lam)
+        priors = io.parse_priors(lam, "--lambda")
     mode = getattr(args, "mode", None) or base.mode
     conv = base.convention
     if getattr(args, "convention", None):

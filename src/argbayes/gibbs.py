@@ -2,8 +2,10 @@
 
 Each sweep resamples every free variable in lexicographic order from its full
 conditional (prior factor times the likelihood of all observations, with all
-other bits at their freshest values). One assignment is recorded per sweep;
-samples after the burn-in form the histogram. Seeding uses numpy
+other bits at their freshest values). The current state's likelihood terms
+are reused from the previous update, so each update scores one new framework
+(both states only on a chain's first update). One assignment is recorded per
+sweep; samples after the burn-in form the histogram. Seeding uses numpy
 SeedSequence, with per-chain substreams so multi-chain runs stay reproducible.
 """
 
@@ -64,11 +66,17 @@ class SampleHistogram:
 
 
 def gibbs_conditional(m: int, current: Assignment, obs: list[Observation],
-                      space: AttackVariableSpace,
-                      cfg: model.ModelConfig) -> tuple[float, float]:
-    """Normalized (p0, p1) for variable m given all other bits of ``current``."""
+                      space: AttackVariableSpace, cfg: model.ModelConfig,
+                      memo: dict[Assignment, list[float]] | None = None
+                      ) -> tuple[float, float]:
+    """Normalized (p0, p1) for variable m given all other bits of ``current``.
+
+    ``memo`` maps assignments to their likelihood terms: a state found there
+    is not scored again, and a newly scored state is added to it.
+    """
     if m in {i for i, _ in space.clamps}:
         raise InputError(f"variable {m} is clamped and cannot be resampled")
+    memo = {} if memo is None else memo
     lam = space.priors[m]
     logp = [math.log(1 - lam) if lam < 1 else -math.inf,
             math.log(lam) if lam > 0 else -math.inf]
@@ -76,12 +84,11 @@ def gibbs_conditional(m: int, current: Assignment, obs: list[Observation],
         if logp[b] == -math.inf:
             continue
         att_b = current[:m] + (b,) + current[m + 1:]
-        for o in obs:
-            p = acceptability_likelihood(o.label, o.subset, att_b, space, cfg)
-            if p == 0.0:
-                logp[b] = -math.inf
-                break
-            logp[b] += o.weight * math.log(p)
+        terms = memo.get(att_b)
+        if terms is None:
+            terms = memo[att_b] = acceptability_likelihood(obs, att_b, space, cfg)
+        for t in terms:
+            logp[b] += t
     if logp[0] == -math.inf and logp[1] == -math.inf:
         raise DegenerateEvidenceError(
             f"both values of variable {m} have zero conditional mass")
@@ -100,23 +107,27 @@ def _run_chain(obs, space, cfg, iterations, burn_in, rng):
     init = rng.integers(0, 2, size=len(free))
     for i, b in zip(free, init):
         state[i] = int(b)
+    state = tuple(state)
 
     counts: dict[Assignment, int] = {}
     seen: set[Assignment] = set()
     new_flags: list[int] = []
+    # the drawn state is always one of the two just scored, so a one-entry
+    # memo hands its terms to the next update
+    memo: dict[Assignment, list[float]] = {}
     for it in range(1, iterations + 1):
         for m in free:
-            current = tuple(state)
-            _, p1 = gibbs_conditional(m, current, obs, space, cfg)
-            state[m] = 1 if rng.random() < p1 else 0
-        sample = tuple(state)
-        if sample in seen:
+            _, p1 = gibbs_conditional(m, state, obs, space, cfg, memo)
+            bit = 1 if rng.random() < p1 else 0
+            state = state[:m] + (bit,) + state[m + 1:]
+            memo = {state: memo[state]}
+        if state in seen:
             new_flags.append(0)
         else:
-            seen.add(sample)
+            seen.add(state)
             new_flags.append(1)
         if it > burn_in:
-            counts[sample] = counts.get(sample, 0) + 1
+            counts[state] = counts.get(state, 0) + 1
     return counts, new_flags
 
 

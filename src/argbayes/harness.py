@@ -62,10 +62,15 @@ def predictive_score(test: list[Observation], post: PosteriorDistribution,
     return total / weight if weight else 0.0
 
 
+def _use_exact(space: AttackVariableSpace, method: str) -> bool:
+    """Method "exact", or "auto" with few enough free variables to enumerate."""
+    return method == "exact" or (method == "auto"
+                                 and len(space.free_indices) <= inference.EXACT_CAP)
+
+
 def _infer(train: list[Observation], space: AttackVariableSpace, cfg: ModelConfig,
            g: GibbsConfig, method: str) -> PosteriorDistribution:
-    if method == "exact" or (method == "auto"
-                             and len(space.free_indices) <= inference.EXACT_CAP):
+    if _use_exact(space, method):
         return exact_posterior(train, space, cfg)
     return run_gibbs(train, space, cfg, g).to_posterior()
 
@@ -157,8 +162,7 @@ def synthetic_experiment(true_att: Assignment, space: AttackVariableSpace,
     test = merge_observations(
         sample_observations(true_att, space, cfg, n_test, rng))
     post = _infer(train, space, cfg, g, method)
-    if method == "exact" or (method == "auto"
-                             and len(space.free_indices) <= inference.EXACT_CAP):
+    if _use_exact(space, method):
         best = map_estimate(train, space, cfg)[0]
     else:
         best = max(post.entries, key=lambda a: (post.entries[a], a))

@@ -16,7 +16,9 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from . import model
+import numpy as np
+
+from . import af, model
 from .errors import CapacityError, DegenerateEvidenceError, InputError
 
 #: Largest number of free variables exact enumeration will accept (2^k states).
@@ -174,9 +176,33 @@ def theta(d: int, att: Assignment, space: AttackVariableSpace,
                                    cfg.semantics, fam, w)
 
 
-def acceptability_likelihood(label: int, d: int, att: Assignment,
-                             space: AttackVariableSpace, cfg: model.ModelConfig) -> float:
-    return model.acceptability_likelihood_value(label, theta(d, att, space, cfg))
+def acceptability_likelihood(obs: list[Observation], att: Assignment,
+                             space: AttackVariableSpace,
+                             cfg: model.ModelConfig) -> list[float]:
+    """``weight * log p(label | subset)`` per observation under the framework
+    of ``att``, in observation order, scored in one vectorised step. The list
+    stops at the first zero factor, whose term is -inf. No observations means
+    no enumeration."""
+    if not obs:
+        return []
+    space.check(att)
+    n = space.n_args
+    exts = af.extensions_for_attacks(n, space.attacks_of(att), cfg.semantics)
+    if exts:
+        subsets = np.fromiter((o.subset for o in obs), np.int64, len(obs))
+        s_max, is_ext = model.best_agreement(
+            np.asarray(exts, dtype=np.int64), subsets, n)
+        cls = np.where(is_ext, n + 1, s_max)
+    else:
+        cls = n + 2
+    w = cfg.w if cfg.family == "exponential" else None
+    labels = np.fromiter((o.label for o in obs), np.intp, len(obs))
+    weights = np.fromiter((o.weight for o in obs), np.int64, len(obs))
+    terms = weights * model.log_likelihood_table(n, cfg.family, w)[labels, cls]
+    zero = np.flatnonzero(terms == -np.inf)
+    if zero.size:
+        terms = terms[:zero[0] + 1]
+    return terms.tolist()
 
 
 def attack_prior_log(att: Assignment, space: AttackVariableSpace) -> float:
@@ -202,11 +228,8 @@ def joint_log_likelihood(obs: list[Observation], att: Assignment,
                          space: AttackVariableSpace, cfg: model.ModelConfig) -> float:
     """Weighted log product of acceptability likelihoods; -inf on any zero factor."""
     total = 0.0
-    for o in obs:
-        p = acceptability_likelihood(o.label, o.subset, att, space, cfg)
-        if p == 0.0:
-            return -math.inf
-        total += o.weight * math.log(p)
+    for t in acceptability_likelihood(obs, att, space, cfg):
+        total += t  # sequential: np.sum adds pairwise and can move the last bit
     return total
 
 
@@ -263,11 +286,8 @@ def sequential_update(post: PosteriorDistribution, new_obs: Observation,
         if p == 0.0:
             log_masses[att] = -math.inf
             continue
-        lik = acceptability_likelihood(new_obs.label, new_obs.subset, att, space, cfg)
-        if lik == 0.0:
-            log_masses[att] = -math.inf
-        else:
-            log_masses[att] = math.log(p) + new_obs.weight * math.log(lik)
+        term, = acceptability_likelihood([new_obs], att, space, cfg)
+        log_masses[att] = math.log(p) + term
     return PosteriorDistribution(entries=_log_normalize(log_masses), kind="exact")
 
 

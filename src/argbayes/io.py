@@ -223,6 +223,16 @@ class RunConfig:
     convention: ObservationConvention = ObservationConvention()
 
 
+def parse_priors(text: str, source: str) -> float | tuple[float, ...]:
+    """The 'lambda' prior: one value, or a comma list with one per variable."""
+    try:
+        if "," in text:
+            return tuple(float(x) for x in text.split(","))
+        return float(text)
+    except ValueError as e:
+        raise ConfigError(f"{source}: invalid value for 'lambda': {text!r}") from e
+
+
 def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -267,14 +277,7 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
         )
     except ArgBayesError as e:
         raise ConfigError(f"{source}: {e}") from e
-    lam_raw = values.get("lambda", "0.5")
-    try:
-        if "," in lam_raw:
-            priors: float | tuple[float, ...] = tuple(float(x) for x in lam_raw.split(","))
-        else:
-            priors = float(lam_raw)
-    except ValueError as e:
-        raise ConfigError(f"{source}: invalid value for 'lambda': {lam_raw!r}") from e
+    priors = parse_priors(values.get("lambda", "0.5"), source)
     mode = take("mode", "symmetric", str)
     if mode not in ("symmetric", "directed"):
         raise ConfigError(f"{source}: invalid value for 'mode': {mode!r}")

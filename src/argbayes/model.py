@@ -89,6 +89,16 @@ def theta_value(s_max: int | None, is_extension: bool, n: int,
     raise InputError(f"unknown parameter family {family!r}")
 
 
+def best_agreement(exts: np.ndarray, subsets: np.ndarray,
+                   n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Best tp+tn over the extension masks ``exts`` (at least one) for each
+    subset mask, and whether each subset is itself an extension."""
+    full = (1 << n) - 1
+    d = subsets[:, None]
+    s = np.bitwise_count(exts & d) + np.bitwise_count(~exts & ~d & full)
+    return s.max(axis=1), (exts == d).any(axis=1)
+
+
 @lru_cache(maxsize=1 << 20)
 def _agreement_stats(n: int, attacks: tuple[tuple[int, int], ...],
                      semantics: str, d: int) -> tuple[int | None, bool]:
@@ -96,10 +106,9 @@ def _agreement_stats(n: int, attacks: tuple[tuple[int, int], ...],
     exts = af.extensions_for_attacks(n, attacks, semantics)
     if not exts:
         return None, False
-    full = (1 << n) - 1
-    arr = np.asarray(exts, dtype=np.int64)
-    s = af._POPCOUNT[arr & d] + af._POPCOUNT[(~arr) & (~d) & full]
-    return int(s.max()), d in exts
+    s_max, is_ext = best_agreement(np.asarray(exts, dtype=np.int64),
+                                   np.array([d], dtype=np.int64), n)
+    return int(s_max[0]), bool(is_ext[0])
 
 
 def theta_for_attacks(d: int, n: int, attacks: tuple[tuple[int, int], ...],
@@ -113,3 +122,23 @@ def acceptability_likelihood_value(label: int, theta: float) -> float:
     if label not in (0, 1):
         raise InputError(f"label must be 0 or 1, got {label}")
     return theta if label == 1 else 1.0 - theta
+
+
+@lru_cache(maxsize=None)
+def log_likelihood_table(n: int, family: str, w: float | None) -> np.ndarray:
+    """log Bernoulli(theta) per label (rows 0 and 1) and agreement class
+    (columns): best agreement 0..n for a subset that is not an extension,
+    n + 1 for an extension, n + 2 for a framework with no extension.
+
+    Each entry is ``math.log`` of the scalar factor, -inf for a zero factor,
+    so a gathered term equals a per-observation loop's bit for bit.
+    """
+    thetas = [theta_value(s, False, n, family, w) for s in range(n + 1)]
+    thetas += [theta_value(n, True, n, family, w),
+               theta_value(None, False, n, family, w)]
+
+    def log(p):
+        return math.log(p) if p > 0.0 else -math.inf
+
+    return np.array([[log(acceptability_likelihood_value(label, t)) for t in thetas]
+                     for label in (0, 1)])

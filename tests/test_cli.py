@@ -78,6 +78,11 @@ class TestPosterior:
         assert run(["posterior", "--votes", votes3, "--config", cfg,
                     "--out-dir", str(tmp_path / "o")]) == 2
 
+    def test_bad_lambda_flag(self, votes3, tmp_path, capsys):
+        assert run(["posterior", "--votes", votes3, "--lambda", "abc",
+                    "--out-dir", str(tmp_path / "o")]) == 2
+        assert "lambda" in capsys.readouterr().err
+
     def test_degenerate_evidence_exit_code(self, tmp_path):
         votes = write(tmp_path, "v.csv", "participant,a\np1,1\np2,0\n")
         code = run(["posterior", "--votes", votes, "--mode", "symmetric",

@@ -1,5 +1,6 @@
 import pytest
 
+from argbayes import gibbs
 from argbayes.errors import DegenerateEvidenceError, InputError
 from argbayes.gibbs import GibbsConfig, convergence_trace, gibbs_conditional, run_gibbs
 from argbayes.inference import AttackVariableSpace, Observation, exact_posterior
@@ -124,6 +125,23 @@ class TestRunGibbs:
         hist = run_gibbs(example_obs(2), space, CFG,
                          GibbsConfig(50_000, 5_000, seed=21))
         assert total_variation(exact, hist.to_posterior().entries) <= 0.05
+
+    def test_one_framework_scored_per_update(self, monkeypatch):
+        calls = []
+        score = gibbs.acceptability_likelihood
+
+        def counting(*args):
+            calls.append(args)
+            return score(*args)
+
+        monkeypatch.setattr(gibbs, "acceptability_likelihood", counting)
+        space = AttackVariableSpace.create(4, mode="symmetric", priors=0.4)
+        obs = [Observation(1, 1, 2), Observation(6, 1), Observation(9, 0)]
+        g = GibbsConfig(30, 5, seed=4)
+        run_gibbs(obs, space, CFG, g)
+        updates = g.iterations * len(space.free_indices)
+        # both states are scored only on the first update
+        assert len(calls) == updates + 1
 
     def test_multi_chain_merges_counts(self):
         space = sym3()
