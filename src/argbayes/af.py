@@ -8,7 +8,7 @@ relation, so repeated queries (e.g. from a Gibbs sweep) are cheap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
@@ -20,10 +20,6 @@ SEMANTICS = ("grounded", "complete", "preferred", "stable")
 
 #: Largest argument count accepted by extension enumeration (2^n subsets).
 ENUMERATION_CAP = 16
-
-def popcount(mask: int) -> int:
-    return int(mask).bit_count()
-
 
 def bits_of(mask: int) -> list[int]:
     """Indices of set bits, ascending."""
@@ -80,61 +76,8 @@ class ArgumentationFramework:
             pairs |= {(b, a) for (a, b) in pairs}
         return cls(n=n, attacks=frozenset(pairs), names=names, symmetric=symmetric)
 
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.n) - 1
-
-    def _check_subset(self, s: int) -> None:
-        if s & ~self.full_mask:
-            raise InputError(f"subset mask {s:#x} references arguments beyond n={self.n}")
-
-    def attackers_of(self, a: int) -> int:
-        """Mask of arguments attacking ``a``."""
-        if not 0 <= a < self.n:
-            raise InputError(f"argument index {a} out of range")
-        m = 0
-        for (x, y) in self.attacks:
-            if y == a:
-                m |= 1 << x
-        return m
-
     def attack_key(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self.attacks))
-
-
-def conflict_free(af: ArgumentationFramework, s: int) -> bool:
-    """True iff no member of ``s`` attacks a member of ``s``."""
-    af._check_subset(s)
-    for (a, b) in af.attacks:
-        if (s >> a) & 1 and (s >> b) & 1:
-            return False
-    return True
-
-
-def acceptable_wrt(af: ArgumentationFramework, a: int, s: int) -> bool:
-    """True iff ``s`` attacks every attacker of ``a``."""
-    af._check_subset(s)
-    if not 0 <= a < af.n:
-        raise InputError(f"argument index {a} out of range")
-    attacked_by_s = 0
-    for (x, y) in af.attacks:
-        if (s >> x) & 1:
-            attacked_by_s |= 1 << y
-    return af.attackers_of(a) & ~attacked_by_s == 0
-
-
-def characteristic(af: ArgumentationFramework, s: int) -> int:
-    """Mask of all arguments acceptable with respect to ``s``."""
-    af._check_subset(s)
-    attacked_by_s = 0
-    for (x, y) in af.attacks:
-        if (s >> x) & 1:
-            attacked_by_s |= 1 << y
-    out = 0
-    for a in range(af.n):
-        if af.attackers_of(a) & ~attacked_by_s == 0:
-            out |= 1 << a
-    return out
 
 
 @lru_cache(maxsize=1 << 18)
@@ -171,7 +114,7 @@ def _extensions_cached(n: int, attacks: tuple[tuple[int, int], ...],
 
     if semantics == "stable":
         keep = cf & (attacked == (subsets ^ (size - 1)))
-        return tuple(int(x) for x in subsets[keep])
+        return tuple(subsets[keep].tolist())
 
     defended = np.zeros(size, dtype=np.int64)
     for a in range(n):
@@ -180,14 +123,14 @@ def _extensions_cached(n: int, attacks: tuple[tuple[int, int], ...],
 
     if semantics == "complete":
         keep = cf & (defended == subsets)
-        return tuple(int(x) for x in subsets[keep])
+        return tuple(subsets[keep].tolist())
     if semantics == "preferred":
         adm = cf & ((subsets & defended) == subsets)
         cand = subsets[adm]
         inside = (cand[:, None] & cand[None, :]) == cand[:, None]
         strictly = inside & (cand[:, None] != cand[None, :])
         maximal = ~strictly.any(axis=1)
-        return tuple(int(x) for x in cand[maximal])
+        return tuple(cand[maximal].tolist())
     raise InputError(f"unknown semantics {semantics!r}")
 
 

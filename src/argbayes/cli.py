@@ -38,6 +38,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _int_list(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a comma list of integers, got {text!r}") from None
+
+
 def _format_subset(mask: int, names) -> str:
     members = [names[i] for i in bits_of(mask)]
     return "{" + ", ".join(members) + "}"
@@ -151,8 +159,7 @@ def _cmd_predict(args) -> int:
 def _cmd_crossval(args) -> int:
     run = _resolve_run_config(args)
     obs, names, space = _load_observation_space(args, run)
-    sizes = tuple(int(x) for x in args.train_sizes.split(","))
-    plan = SplitPlan(seed=run.gibbs.seed, train_sizes=sizes,
+    plan = SplitPlan(seed=run.gibbs.seed, train_sizes=args.train_sizes,
                      repeats_per_size=args.repeats)
     print(f"seed = {plan.seed}")
     points = cross_validate(obs, plan, space, run.model, run.gibbs)
@@ -239,7 +246,8 @@ def build_parser() -> _Parser:
     p.add_argument("--votes", required=True)
     _add_model_flags(p)
     _add_gibbs_flags(p)
-    p.add_argument("--train-sizes", required=True, help="comma list of sizes")
+    p.add_argument("--train-sizes", required=True, type=_int_list,
+                   help="comma list of sizes")
     p.add_argument("--repeats", type=int, default=10)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_crossval)

@@ -156,6 +156,8 @@ def synthetic_experiment(true_att: Assignment, space: AttackVariableSpace,
                          seed: int, n_test: int = 50,
                          method: str = "auto") -> RecoveryReport:
     """Sample from the generative model, infer, and report recovery metrics."""
+    if n_obs < 0:
+        raise PlanError(f"n_obs must be nonnegative, got {n_obs}")
     rng = np.random.default_rng(seed)
     train = merge_observations(
         sample_observations(true_att, space, cfg, n_obs, rng))

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import af, model
+from . import model
 from .errors import CapacityError, DegenerateEvidenceError, InputError
 
 #: Largest number of free variables exact enumeration will accept (2^k states).
@@ -65,6 +65,8 @@ class AttackVariableSpace:
                priors: float | list[float] | tuple[float, ...] = 0.5,
                clamps: dict[int, int] | None = None,
                include_self_loops: bool = False) -> "AttackVariableSpace":
+        if n_args < 0:
+            raise InputError(f"argument count n_args must be nonnegative, got {n_args}")
         if mode == "directed":
             variables = tuple((i, j) for i in range(n_args) for j in range(n_args)
                               if include_self_loops or i != j)
@@ -115,12 +117,9 @@ class AttackVariableSpace:
     def attacks_of(self, att: Assignment) -> tuple[tuple[int, int], ...]:
         """Directed attack pairs realized by an assignment (symmetric pairs expand
         to both directions)."""
-        pairs = []
-        for bit, (a, b) in zip(att, self.variables):
-            if bit:
-                pairs.append((a, b))
-                if self.mode == "symmetric" and a != b:
-                    pairs.append((b, a))
+        pairs = [p for bit, p in zip(att, self.variables) if bit]
+        if self.mode == "symmetric":
+            pairs += [(b, a) for a, b in pairs]
         return tuple(sorted(pairs))
 
     def assignments(self):
@@ -168,7 +167,8 @@ class PosteriorDistribution:
 
 def theta(d: int, att: Assignment, space: AttackVariableSpace,
           cfg: model.ModelConfig, family: str | None = None) -> float:
-    """Acceptability parameter for subset d under the framework of ``att``."""
+    """Acceptability parameter for subset d under the framework of ``att``;
+    InputError for d outside [0, 2^n)."""
     space.check(att)
     fam = family or cfg.family
     w = cfg.w if fam == "exponential" else None
@@ -182,23 +182,19 @@ def acceptability_likelihood(obs: list[Observation], att: Assignment,
     """``weight * log p(label | subset)`` per observation under the framework
     of ``att``, in observation order, scored in one vectorised step. The list
     stops at the first zero factor, whose term is -inf. No observations means
-    no enumeration."""
+    no enumeration; a subset mask outside [0, 2^n) raises InputError."""
     if not obs:
         return []
     space.check(att)
     n = space.n_args
-    exts = af.extensions_for_attacks(n, space.attacks_of(att), cfg.semantics)
-    if exts:
-        subsets = np.fromiter((o.subset for o in obs), np.int64, len(obs))
-        s_max, is_ext = model.best_agreement(
-            np.asarray(exts, dtype=np.int64), subsets, n)
-        cls = np.where(is_ext, n + 1, s_max)
-    else:
-        cls = n + 2
+    subsets = np.fromiter((o.subset for o in obs), np.int64, len(obs))
+    if subsets.min() < 0 or subsets.max() >= 1 << n:
+        raise InputError(f"subset mask outside the {n}-argument space")
+    dist = model._agreement_stats(n, space.attacks_of(att), cfg.semantics)
     w = cfg.w if cfg.family == "exponential" else None
     labels = np.fromiter((o.label for o in obs), np.intp, len(obs))
     weights = np.fromiter((o.weight for o in obs), np.int64, len(obs))
-    terms = weights * model.log_likelihood_table(n, cfg.family, w)[labels, cls]
+    terms = weights * model.log_likelihood_table(n, cfg.family, w)[labels, dist[subsets]]
     zero = np.flatnonzero(terms == -np.inf)
     if zero.size:
         terms = terms[:zero[0] + 1]
@@ -218,10 +214,6 @@ def attack_prior_log(att: Assignment, space: AttackVariableSpace) -> float:
             return -math.inf
         lp += math.log(p)
     return lp
-
-
-def attack_prior(att: Assignment, space: AttackVariableSpace) -> float:
-    return math.exp(attack_prior_log(att, space))
 
 
 def joint_log_likelihood(obs: list[Observation], att: Assignment,
@@ -322,7 +314,7 @@ def evidence(e: int, space: AttackVariableSpace, cfg: model.ModelConfig,
     _check_cap(space, cap)
     total = 0.0
     for att in space.assignments():
-        p = attack_prior(att, space)
+        p = math.exp(attack_prior_log(att, space))
         if p:
             total += p * theta(e, att, space, cfg)
     return total
@@ -335,8 +327,11 @@ def ml_prediction(att: Assignment, space: AttackVariableSpace,
     A subset is labelled 1 when its parameter exceeds 0.5; exact ties go to 0
     (they cannot occur in the w >= 2 regime the guarantee covers).
     """
+    space.check(att)
     n = space.n_args
-    return [1 if theta(d, att, space, cfg) > 0.5 else 0 for d in range(1 << n)]
+    w = cfg.w if cfg.family == "exponential" else None
+    dist = model._agreement_stats(n, space.attacks_of(att), cfg.semantics)
+    return (model.theta_table(n, cfg.family, w)[dist] > 0.5).astype(int).tolist()
 
 
 def posterior_predictive(e: int, post: PosteriorDistribution,

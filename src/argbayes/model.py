@@ -8,7 +8,12 @@ and any extension of a framework to a probability:
 * exponential: (w^s - 1) / (w^n - 1) for best agreement s and w > 1
 
 Agreement between an extension e and a subset d counts arguments correctly
-inside (tp) and correctly outside (tn) of d relative to e.
+inside (tp) and correctly outside (tn) of d relative to e, so the best
+agreement is n minus the Hamming distance from d to the nearest extension.
+Each framework gets one distance table over all 2^n subset masks; the
+distance n + 1 marks a framework with no extension (possible under stable
+semantics), for which every family gives 0. Parameters and log likelihood
+factors are tables indexed by that distance.
 """
 
 from __future__ import annotations
@@ -51,16 +56,6 @@ class ModelConfig:
                 raise InputError(f"w must exceed 1, got {self.w}")
 
 
-def agreement(e: int, d: int, n: int) -> tuple[int, int]:
-    """(tp, tn): arguments in both e and d, and in neither, within n."""
-    full = (1 << n) - 1
-    if (e | d) & ~full:
-        raise InputError("subset mask references arguments beyond n")
-    tp = af.popcount(e & d)
-    tn = af.popcount(~e & ~d & full)
-    return tp, tn
-
-
 def _exponential_ratio(s: int, n: int, w: float) -> float:
     lw = math.log(w)
     if n * lw < 700.0:
@@ -89,32 +84,52 @@ def theta_value(s_max: int | None, is_extension: bool, n: int,
     raise InputError(f"unknown parameter family {family!r}")
 
 
-def best_agreement(exts: np.ndarray, subsets: np.ndarray,
-                   n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Best tp+tn over the extension masks ``exts`` (at least one) for each
-    subset mask, and whether each subset is itself an extension."""
-    full = (1 << n) - 1
-    d = subsets[:, None]
-    s = np.bitwise_count(exts & d) + np.bitwise_count(~exts & ~d & full)
-    return s.max(axis=1), (exts == d).any(axis=1)
+@lru_cache(maxsize=None)
+def _flips(n: int) -> tuple[np.ndarray, ...]:
+    """Per argument a, the index array mapping each subset mask to the mask
+    with bit a flipped."""
+    idx = np.arange(1 << n)
+    return tuple(idx ^ (1 << a) for a in range(n))
 
 
-@lru_cache(maxsize=1 << 20)
+@lru_cache(maxsize=1 << 12)
 def _agreement_stats(n: int, attacks: tuple[tuple[int, int], ...],
-                     semantics: str, d: int) -> tuple[int | None, bool]:
-    """(best tp+tn over extensions, whether d itself is an extension)."""
+                     semantics: str) -> np.ndarray:
+    """Read-only int8 Hamming distance from each subset mask to the nearest
+    extension; n + 1 everywhere when there is no extension.
+
+    One pass per argument relaxes each entry against its neighbour across
+    that bit; Hamming distance is a sum over bits, so n passes are exact.
+    ``attacks`` must be sorted, as the cache is keyed by it.
+    """
+    dist = np.full(1 << n, n + 1, dtype=np.int8)
     exts = af.extensions_for_attacks(n, attacks, semantics)
-    if not exts:
-        return None, False
-    s_max, is_ext = best_agreement(np.asarray(exts, dtype=np.int64),
-                                   np.array([d], dtype=np.int64), n)
-    return int(s_max[0]), bool(is_ext[0])
+    if exts:
+        dist[list(exts)] = 0
+        for flip in _flips(n):
+            np.minimum(dist, dist[flip] + 1, out=dist)
+    dist.flags.writeable = False
+    return dist
+
+
+@lru_cache(maxsize=None)
+def theta_table(n: int, family: str, w: float | None) -> np.ndarray:
+    """Read-only parameter value by distance to the nearest extension:
+    0..n, then n + 1 for a framework with no extension."""
+    table = np.array([theta_value(n - k, k == 0, n, family, w) for k in range(n + 1)]
+                     + [theta_value(None, False, n, family, w)])
+    table.flags.writeable = False
+    return table
 
 
 def theta_for_attacks(d: int, n: int, attacks: tuple[tuple[int, int], ...],
                       semantics: str, family: str, w: float | None) -> float:
-    s_max, is_ext = _agreement_stats(n, tuple(sorted(attacks)), semantics, d)
-    return theta_value(s_max, is_ext, n, family, w)
+    """Parameter for subset mask d: its distance in the framework's table,
+    then the parameter at that distance; InputError for d outside [0, 2^n)."""
+    if not 0 <= d < 1 << n:
+        raise InputError(f"subset mask {d} outside the {n}-argument space")
+    dist = _agreement_stats(n, tuple(sorted(attacks)), semantics)
+    return float(theta_table(n, family, w)[dist[d]])
 
 
 def acceptability_likelihood_value(label: int, theta: float) -> float:
@@ -126,19 +141,15 @@ def acceptability_likelihood_value(label: int, theta: float) -> float:
 
 @lru_cache(maxsize=None)
 def log_likelihood_table(n: int, family: str, w: float | None) -> np.ndarray:
-    """log Bernoulli(theta) per label (rows 0 and 1) and agreement class
-    (columns): best agreement 0..n for a subset that is not an extension,
-    n + 1 for an extension, n + 2 for a framework with no extension.
+    """log Bernoulli(theta) per label (rows 0 and 1) and distance to the
+    nearest extension (columns 0..n + 1, as in ``theta_table``).
 
     Each entry is ``math.log`` of the scalar factor, -inf for a zero factor,
     so a gathered term equals a per-observation loop's bit for bit.
     """
-    thetas = [theta_value(s, False, n, family, w) for s in range(n + 1)]
-    thetas += [theta_value(n, True, n, family, w),
-               theta_value(None, False, n, family, w)]
-
     def log(p):
         return math.log(p) if p > 0.0 else -math.inf
 
-    return np.array([[log(acceptability_likelihood_value(label, t)) for t in thetas]
+    return np.array([[log(acceptability_likelihood_value(label, t))
+                      for t in theta_table(n, family, w).tolist()]
                      for label in (0, 1)])

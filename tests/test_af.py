@@ -1,16 +1,13 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from argbayes.af import (
-    ArgumentationFramework,
-    acceptable_wrt,
-    characteristic,
-    conflict_free,
-    extensions,
-    mask_of,
-)
+from argbayes.af import SEMANTICS, ArgumentationFramework, extensions, mask_of
 from argbayes.errors import CapacityError, InputError
+from argbayes.inference import AttackVariableSpace, theta
+from argbayes.model import ModelConfig
 
 from oracle import (
     all_directed_relations,
@@ -19,54 +16,91 @@ from oracle import (
     to_mask,
 )
 
+MUTUAL = [(0, 1), (1, 0)]
+
 
 def af_of(n, pairs, symmetric=False):
     return ArgumentationFramework.from_pairs(n, pairs, symmetric=symmetric)
 
 
+def assert_matches_oracle(n, pairs, symmetric=False):
+    af = af_of(n, pairs, symmetric=symmetric)
+    for semantics in SEMANTICS:
+        expected = {to_mask(s) for s in brute_extensions(n, af.attacks, semantics)}
+        assert set(extensions(af, semantics)) == expected, \
+            (n, sorted(af.attacks), semantics)
+
+
+@st.composite
+def frameworks(draw):
+    n = draw(st.integers(0, 7))
+    symmetric = draw(st.booleans())
+    pairs = [(a, b) for a in range(n) for b in range(n)
+             if not symmetric or a < b]  # directed relations may hold self-loops
+    present = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return n, [p for p, keep in zip(pairs, present) if keep], symmetric
+
+
+@settings(max_examples=300, deadline=None)
+@given(frameworks())
+def test_kernel_matches_oracle_on_random_frameworks(framework):
+    assert_matches_oracle(*framework)
+
+
 class TestBasicPredicates:
+    """Frameworks of the conflict-freeness, acceptability and characteristic
+    function checks, stated through the kernel: each matches the oracle under
+    every semantics and shows its property in the extensions."""
+
     def test_conflict_free_singleton(self):
-        af = af_of(2, [(0, 1), (1, 0)])
-        assert conflict_free(af, mask_of({0}))
+        assert_matches_oracle(2, MUTUAL)
+        assert mask_of({0}) in extensions(af_of(2, MUTUAL), "stable")
 
     def test_conflict_free_mutual_attack_pair(self):
-        af = af_of(2, [(0, 1), (1, 0)])
-        assert not conflict_free(af, mask_of({0, 1}))
+        assert_matches_oracle(2, MUTUAL)
+        for semantics in SEMANTICS:
+            assert mask_of({0, 1}) not in extensions(af_of(2, MUTUAL), semantics)
 
     def test_conflict_free_empty_relation(self):
-        af = af_of(3, [])
-        assert conflict_free(af, mask_of({0, 1, 2}))
+        assert_matches_oracle(3, [])
+        for semantics in SEMANTICS:
+            assert extensions(af_of(3, []), semantics) == (mask_of({0, 1, 2}),)
 
     def test_defended_argument_is_acceptable(self):
-        af = af_of(3, [(1, 0), (2, 1)])
-        assert acceptable_wrt(af, 0, mask_of({2}))
+        # 2 defends 0 against 1
+        assert_matches_oracle(3, [(1, 0), (2, 1)])
+        assert extensions(af_of(3, [(1, 0), (2, 1)]), "grounded") == (mask_of({0, 2}),)
 
     def test_undefended_attack(self):
-        af = af_of(2, [(1, 0)])
-        assert not acceptable_wrt(af, 0, 0)
+        assert_matches_oracle(2, [(1, 0)])
+        for semantics in SEMANTICS:
+            assert all(not e & mask_of({0}) for e in extensions(af_of(2, [(1, 0)]), semantics))
 
     def test_unattacked_argument_vacuously_acceptable(self):
-        af = af_of(3, [(0, 1)])
-        assert acceptable_wrt(af, 0, 0)
+        assert_matches_oracle(3, [(0, 1)])
+        assert extensions(af_of(3, [(0, 1)]), "grounded") == (mask_of({0, 2}),)
 
     def test_characteristic_no_attacks(self):
-        af = af_of(2, [])
-        assert characteristic(af, 0) == mask_of({0, 1})
+        # the characteristic function maps the empty set to everything
+        assert_matches_oracle(2, [])
+        assert extensions(af_of(2, []), "grounded") == (mask_of({0, 1}),)
 
     def test_characteristic_mutual_attack_empty_input(self):
-        af = af_of(2, [(0, 1), (1, 0)])
-        assert characteristic(af, 0) == 0
+        # ... and here to the empty set, its least fixed point
+        assert_matches_oracle(2, MUTUAL)
+        assert extensions(af_of(2, MUTUAL), "grounded") == (0,)
 
     def test_characteristic_defends_transitively(self):
-        af = af_of(3, [(0, 1), (1, 2)])
-        assert characteristic(af, mask_of({0})) == mask_of({0, 2})
+        assert_matches_oracle(3, [(0, 1), (1, 2)])
+        assert extensions(af_of(3, [(0, 1), (1, 2)]), "grounded") == (mask_of({0, 2}),)
 
     def test_out_of_range_subset_rejected(self):
-        af = af_of(2, [])
+        # subset masks enter through the model; the attack space of 2 arguments
+        # has one symmetric variable
+        assert_matches_oracle(2, [])
+        space = AttackVariableSpace.create(2, mode="symmetric")
         with pytest.raises(InputError):
-            conflict_free(af, 1 << 5)
-        with pytest.raises(InputError):
-            acceptable_wrt(af, 7, 0)
+            theta(1 << 5, (0,), space, ModelConfig())
 
 
 class TestConstruction:

@@ -152,6 +152,11 @@ class TestCrossval:
         assert run(["crossval", "--votes", votes3, "--mode", "symmetric",
                     "--train-sizes", "50", "--out-dir", str(tmp_path / "cv")]) == 2
 
+    def test_bad_train_sizes_is_usage_error(self, votes3, tmp_path, capsys):
+        assert run(["crossval", "--votes", votes3, "--train-sizes", "3,x",
+                    "--out-dir", str(tmp_path / "cv")]) == 1
+        assert "--train-sizes" in capsys.readouterr().err
+
 
 class TestSynth:
     def test_framework_truth_recovery(self, tmp_path, capsys):
@@ -170,6 +175,12 @@ class TestSynth:
                     "--seed", "2", "--out-dir", str(out)])
         assert code == 0
         assert (out / "recovery.csv").exists()
+
+    @pytest.mark.parametrize("flag, name", [("--n-args", "n_args"),
+                                            ("--n-obs", "n_obs")])
+    def test_negative_count(self, flag, name, capsys):
+        assert run(["synth", flag, "-2", "--seed", "1"]) == 2
+        assert name in capsys.readouterr().err
 
 
 class TestDemo:

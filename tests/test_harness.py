@@ -178,6 +178,10 @@ class TestSyntheticExperiment:
         assert report.map_hamming_distance == 0
         assert report.posterior_mass_on_truth > 0.9
 
+    def test_negative_n_obs(self):
+        with pytest.raises(PlanError):
+            synthetic_experiment((1, 1, 0), sym3(), CFG, -1, G, seed=0)
+
 
 class TestConvergenceStudy:
     def test_traces_and_counts(self):

@@ -9,7 +9,7 @@ from argbayes.inference import (
     AttackVariableSpace,
     Observation,
     PosteriorDistribution,
-    attack_prior,
+    attack_prior_log,
     evidence,
     exact_posterior,
     joint_log_likelihood,
@@ -48,6 +48,10 @@ class TestSpace:
     def test_priors_broadcast(self):
         assert sym3().priors == (0.5, 0.5, 0.5)
 
+    def test_negative_argument_count(self):
+        with pytest.raises(InputError):
+            AttackVariableSpace.create(-2)
+
     def test_prior_length_mismatch(self):
         with pytest.raises(InputError):
             AttackVariableSpace.create(3, priors=[0.5, 0.5])
@@ -75,20 +79,21 @@ class TestPrior:
     def test_uniform(self):
         space = sym3()
         for att in space.assignments():
-            assert attack_prior(att, space) == pytest.approx(0.125)
+            assert math.exp(attack_prior_log(att, space)) == pytest.approx(0.125)
 
     def test_product_of_lambdas(self):
         space = sym3(priors=(0.1, 0.15, 0.2))
-        assert attack_prior((1, 1, 1), space) == pytest.approx(0.003)
-        assert attack_prior((0, 0, 0), space) == pytest.approx(0.9 * 0.85 * 0.8)
+        assert math.exp(attack_prior_log((1, 1, 1), space)) == pytest.approx(0.003)
+        assert math.exp(attack_prior_log((0, 0, 0), space)) == pytest.approx(0.9 * 0.85 * 0.8)
 
     def test_clamped_variable_contributes_factor_one(self):
         space = sym3(priors=(0.1, 0.5, 0.5), clamps={0: 1})
-        assert attack_prior((1, 0, 0), space) == pytest.approx(0.25)
+        assert math.exp(attack_prior_log((1, 0, 0), space)) == pytest.approx(0.25)
 
     def test_sums_to_one(self):
         space = sym3(priors=(0.3, 0.6, 0.9))
-        assert sum(attack_prior(a, space) for a in space.assignments()) == pytest.approx(1.0)
+        assert sum(math.exp(attack_prior_log(a, space))
+                   for a in space.assignments()) == pytest.approx(1.0)
 
 
 class TestJointLikelihood:
@@ -129,7 +134,7 @@ class TestExactPosterior:
         space = sym3(priors=(0.1, 0.15, 0.2))
         post = exact_posterior([], space, CFG)
         for att in space.assignments():
-            assert post.prob(att) == pytest.approx(attack_prior(att, space))
+            assert post.prob(att) == pytest.approx(math.exp(attack_prior_log(att, space)))
 
     def test_single_observation_masses(self):
         # one observation ({a},1), uniform priors: unnormalized masses

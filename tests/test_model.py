@@ -1,13 +1,21 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from argbayes import af, model
 from argbayes.errors import InputError
-from argbayes.inference import AttackVariableSpace, theta
+from argbayes.inference import (
+    AttackVariableSpace,
+    Observation,
+    joint_log_likelihood,
+    theta,
+)
 from argbayes.model import (
     ModelConfig,
     acceptability_likelihood_value,
-    agreement,
     theta_for_attacks,
 )
 
@@ -18,26 +26,54 @@ def space3():
     return AttackVariableSpace.create(3, mode="symmetric")
 
 
+@st.composite
+def frameworks(draw):
+    n = draw(st.integers(0, 6))
+    arg = st.integers(0, max(n - 1, 0))
+    attacks = draw(st.sets(st.tuples(arg, arg))) if n else set()
+    return n, tuple(sorted(attacks)), draw(st.sampled_from(af.SEMANTICS))
+
+
 class TestAgreement:
+    """The distance table: Hamming distance from each subset mask to the
+    nearest extension, n + 1 without an extension."""
+
     def test_perfect_agreement(self):
-        assert agreement(0b101, 0b101, 3) == (2, 1)
+        # no attacks: the one complete extension is every argument
+        dist = model._agreement_stats(3, (), "complete")
+        assert dist.tolist() == [3 - bin(d).count("1") for d in range(8)]
+        assert dist.dtype == np.int8 and not dist.flags.writeable
 
     def test_total_disagreement(self):
-        assert agreement(0b01, 0b10, 2) == (0, 0)
+        # a self-attacker has no stable extension, so no subset agrees at all
+        assert model._agreement_stats(1, ((0, 0),), "stable").tolist() == [2, 2]
+        assert model.theta_table(1, "linear", None)[2] == 0.0
 
     def test_partial(self):
-        assert agreement(0b001, 0b011, 3) == (1, 1)
+        # mutual attack: complete extensions {}, {0}, {1}
+        assert model._agreement_stats(2, ((0, 1), (1, 0)), "complete").tolist() == \
+            [0, 0, 0, 1]
 
-    def test_bounds(self):
-        n = 4
-        for e in range(1 << n):
-            for d in range(1 << n):
-                tp, tn = agreement(e, d, n)
-                assert 0 <= tp + tn <= n
+    @settings(max_examples=200, deadline=None)
+    @given(frameworks())
+    def test_bounds(self, framework):
+        # brute force: n minus the best tp + tn over the extensions
+        n, key, semantics = framework
+        exts = af.extensions_for_attacks(n, key, semantics)
+        full = (1 << n) - 1
+        want = [n - max(((e & d).bit_count() + (~e & ~d & full).bit_count()
+                         for e in exts), default=-1)
+                for d in range(1 << n)]
+        assert model._agreement_stats(n, key, semantics).tolist() == want
 
     def test_out_of_range(self):
-        with pytest.raises(InputError):
-            agreement(0b100, 0, 2)
+        space = AttackVariableSpace.create(2, mode="symmetric")
+        for d in (-1, 1 << 2):
+            with pytest.raises(InputError):
+                theta(d, (0,), space, ModelConfig())
+            with pytest.raises(InputError):
+                joint_log_likelihood([Observation(0, 1), Observation(d, 1)], (0,),
+                                     space, ModelConfig())
 
 
 class TestModelConfig:
