@@ -4,6 +4,8 @@ Arguments are dense indices 0..n-1; subsets of arguments are n-bit masks.
 External string identifiers are mapped to indices once at the I/O boundary.
 All functions here are pure; enumeration results are cached by the attack
 relation, so repeated queries (e.g. from a Gibbs sweep) are cheap.
+``extension_matrix`` evaluates a batch of frameworks over the same arguments
+in one array pass, for callers that score many relations at once.
 """
 
 from __future__ import annotations
@@ -154,3 +156,44 @@ def extensions_for_attacks(n: int, attacks: tuple[tuple[int, int], ...],
     if n > ENUMERATION_CAP:
         raise CapacityError(f"{n} arguments exceed the enumeration cap of {ENUMERATION_CAP}")
     return _extensions_cached(n, tuple(sorted(attacks)), semantics)
+
+
+def extension_matrix(att_from: np.ndarray, att_to: np.ndarray,
+                     semantics: str) -> np.ndarray:
+    """Bool [B, 2^n] extension indicator of B frameworks, given as attack
+    masks per argument: ``att_from[b, a]`` (whom a attacks) and
+    ``att_to[b, a]`` (who attacks a), both [B, n]. Masks are uint16, which
+    holds every subset within the cap. Grounded is the least complete
+    extension, preferred an admissible set with no admissible strict superset.
+    """
+    if semantics not in SEMANTICS:
+        raise InputError(f"unknown semantics {semantics!r}")
+    batch, n = att_from.shape
+    if n > ENUMERATION_CAP:
+        raise CapacityError(f"{n} arguments exceed the enumeration cap of {ENUMERATION_CAP}")
+    att_from, att_to = att_from.astype(np.uint16), att_to.astype(np.uint16)
+    subsets, full = np.arange(1 << n, dtype=np.uint16), (1 << n) - 1
+    attacked = np.zeros((batch, 1 << n), dtype=np.uint16)
+    for a in range(n):  # the negated bit is 0 or all-ones
+        attacked |= -((subsets >> a) & 1) & att_from[:, a, None]
+    cf = (attacked & subsets) == 0
+    if semantics == "stable":
+        return cf & (attacked == (subsets ^ full))
+    unattacked, defended = ~attacked, np.zeros_like(attacked)
+    for a in range(n):
+        defended |= ((att_to[:, a, None] & unattacked) == 0).astype(np.uint16) << a
+    complete = cf & (defended == subsets)
+    if semantics == "complete":
+        return complete
+    if semantics == "grounded":
+        least = np.bitwise_and.reduce(np.where(complete, subsets, full), axis=1)
+        return subsets == least[:, None]
+    adm = cf & ((subsets & defended) == subsets)
+    # larger[s]: some admissible strict superset of s differs from s only in
+    # the bits passed so far; pass a adds the supersets through s | bit a
+    larger = np.zeros_like(adm)
+    for a in range(n):
+        shape = (batch, 1 << (n - a - 1), 2, 1 << a)  # [.., bit a clear/set, ..]
+        pairs = larger.reshape(shape)
+        pairs[:, :, 0] |= adm.reshape(shape)[:, :, 1] | pairs[:, :, 1]
+    return adm & ~larger

@@ -25,7 +25,7 @@ from .inference import (
     map_estimate,
     merge_observations,
     posterior_predictive,
-    theta,
+    subset_thetas,
 )
 from .model import ModelConfig
 
@@ -111,13 +111,15 @@ def cross_validate(dataset: list[Observation], plan: SplitPlan,
 def sample_observations(true_att: Assignment, space: AttackVariableSpace,
                         cfg: ModelConfig, n_obs: int, rng) -> list[Observation]:
     """Generative draws: subset d uniform over all 2^n subsets, label from
-    Bernoulli(theta_{d|truth})."""
+    Bernoulli(theta_{d|truth}). No draws means no enumeration."""
+    if not n_obs:
+        return []
     n = space.n_args
+    thetas = subset_thetas(true_att, space, cfg).tolist()
     obs = []
     for _ in range(n_obs):
         d = int(rng.integers(0, 1 << n))
-        t = theta(d, true_att, space, cfg)
-        label = 1 if rng.random() < t else 0
+        label = 1 if rng.random() < thetas[d] else 0
         obs.append(Observation(d, label))
     return obs
 

@@ -8,21 +8,31 @@ part of the relation and the inferred part share one code path.
 
 All likelihood accumulation happens in log space; impossible factors are
 -inf and surface as zero posterior mass.
+
+Exact inference scores all 2^k assignments in one array pass: bit rows
+become attack masks, and the batched kernel gives each framework's distance
+table. Reductions over the log-prior and log-likelihood vectors keep the
+scalar steps of a per-assignment loop, so results are bit-identical to one.
+A posterior keeps its entries' tables per (space, semantics) when they fit
+in 64 MB, so repeated predictions are column gathers.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import model
+from . import af, model
 from .errors import CapacityError, DegenerateEvidenceError, InputError
 
 #: Largest number of free variables exact enumeration will accept (2^k states).
 EXACT_CAP = 20
+
+#: Frameworks x subsets per chunk of the batched kernel, and the largest
+#: distance tables (one byte per entry and subset) a posterior keeps.
+_CHUNK_ENTRIES, _RETAIN_BYTES = 1 << 20, 1 << 26
 
 Assignment = tuple[int, ...]
 
@@ -122,16 +132,20 @@ class AttackVariableSpace:
             pairs += [(b, a) for a, b in pairs]
         return tuple(sorted(pairs))
 
+    def assignment_bits(self) -> np.ndarray:
+        """``assignments()`` as rows of a uint8 array."""
+        free = self.free_indices
+        rows = np.arange(1 << len(free))
+        bits = np.zeros((len(rows), len(self.variables)), dtype=np.uint8)
+        for idx, bit in self.clamps:
+            bits[:, idx] = bit
+        for j, i in enumerate(free):
+            bits[:, i] = (rows >> (len(free) - 1 - j)) & 1
+        return bits
+
     def assignments(self):
         """All assignments consistent with the clamps, lexicographic over free bits."""
-        free = self.free_indices
-        clamp = self.clamp_map
-        base = [clamp.get(i, 0) for i in range(len(self.variables))]
-        for bits in itertools.product((0, 1), repeat=len(free)):
-            out = list(base)
-            for i, b in zip(free, bits):
-                out[i] = b
-            yield tuple(out)
+        return map(tuple, self.assignment_bits().tolist())
 
     def assignment_from_attacks(self, attacks) -> Assignment:
         """Bit encoding of a concrete attack relation."""
@@ -152,6 +166,9 @@ class PosteriorDistribution:
 
     entries: dict[Assignment, float] = field(default_factory=dict)
     kind: str = "exact"
+    # (space, semantics) -> distance tables of the entries' frameworks, one
+    # row per entry in entry order
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for p in self.entries.values():
@@ -204,38 +221,34 @@ def acceptability_likelihood(obs: list[Observation], att: Assignment,
 def attack_prior_log(att: Assignment, space: AttackVariableSpace) -> float:
     """Log prior: product of Bernoulli(lambda_m) factors over unclamped variables."""
     space.check(att)
-    clamped = {i for i, _ in space.clamps}
-    lp = 0.0
-    for i, (bit, lam) in enumerate(zip(att, space.priors)):
-        if i in clamped:
-            continue
-        p = lam if bit else 1.0 - lam
-        if p == 0.0:
-            return -math.inf
-        lp += math.log(p)
-    return lp
+    return float(_log_prior(np.array([att], dtype=np.uint8), space)[0])
 
 
 def joint_log_likelihood(obs: list[Observation], att: Assignment,
                          space: AttackVariableSpace, cfg: model.ModelConfig) -> float:
     """Weighted log product of acceptability likelihoods; -inf on any zero factor."""
+    return _ordered_sum(acceptability_likelihood(obs, att, space, cfg))
+
+
+def _ordered_sum(terms) -> float:
+    """Left-to-right float sum. np.sum adds pairwise and the builtin sum
+    compensates (Python 3.12), either of which can move the last bit."""
     total = 0.0
-    for t in acceptability_likelihood(obs, att, space, cfg):
-        total += t  # sequential: np.sum adds pairwise and can move the last bit
+    for t in terms:
+        total += t
     return total
 
 
-def _log_normalize(log_masses: dict[Assignment, float]) -> dict[Assignment, float]:
-    finite = [v for v in log_masses.values() if v > -math.inf]
-    if not finite:
+def _log_normalize(keys: list[Assignment],
+                   log_masses: np.ndarray) -> dict[Assignment, float]:
+    finite = log_masses[log_masses > -math.inf]
+    if not finite.size:
         raise DegenerateEvidenceError(
             "all assignments have zero posterior mass; the observations "
             "contradict every attack relation under the deterministic family")
-    mx = max(finite)
-    unnorm = {k: (math.exp(v - mx) if v > -math.inf else 0.0)
-              for k, v in log_masses.items()}
-    z = sum(unnorm.values())
-    return {k: v / z for k, v in unnorm.items()}
+    unnorm = [math.exp(v) for v in (log_masses - finite.max()).tolist()]
+    z = sum(unnorm)
+    return dict(zip(keys, (np.array(unnorm) / z).tolist()))
 
 
 def _check_cap(space: AttackVariableSpace, cap: int) -> None:
@@ -245,25 +258,102 @@ def _check_cap(space: AttackVariableSpace, cap: int) -> None:
             f"{k} free attack variables exceed the exact-inference cap of {cap}")
 
 
+def _tables(bits: np.ndarray, space: AttackVariableSpace, semantics: str,
+            subsets: list[int] | None = None) -> np.ndarray:
+    """Distance tables (or their ``subsets`` columns) of the frameworks of
+    bit rows, through the batched kernel a chunk of rows at a time."""
+    step, chunks = max(1, _CHUNK_ENTRIES >> space.n_args), []
+    for lo in range(0, max(len(bits), 1), step):
+        chunk = bits[lo:lo + step].astype(np.int64)
+        att_from = np.zeros((len(chunk), space.n_args), dtype=np.int64)
+        att_to = np.zeros_like(att_from)
+        for i, (a, b) in enumerate(space.variables):
+            for x, y in ((a, b), (b, a)) if space.mode == "symmetric" else ((a, b),):
+                att_from[:, x] |= chunk[:, i] << y
+                att_to[:, y] |= chunk[:, i] << x
+        is_ext = af.extension_matrix(att_from, att_to, semantics)
+        dist = np.full(is_ext.shape[::-1], space.n_args + 1, dtype=np.int8)
+        dist[is_ext.T] = 0
+        dist = model.distance_to_extension(dist).T
+        chunks.append(dist if subsets is None else dist[:, subsets])
+    return np.concatenate(chunks)
+
+
+def _columns(memo: dict, space: AttackVariableSpace, semantics: str,
+             subsets: list[int], bits) -> np.ndarray:
+    """Distances of subset masks (columns) under the framework of each row of
+    ``bits()``, from whole tables that ``memo`` keeps when they fit."""
+    for d in subsets:
+        if not 0 <= d < 1 << space.n_args:
+            raise InputError(f"subset mask {d} outside the {space.n_args}-argument space")
+    key = (space, semantics)
+    if key not in memo:
+        rows = bits()
+        if len(rows) << space.n_args > _RETAIN_BYTES:
+            return _tables(rows, space, semantics, subsets)
+        memo[key] = _tables(rows, space, semantics)
+    return memo[key][:, subsets]
+
+
+def _key_bits(post: PosteriorDistribution, space: AttackVariableSpace) -> np.ndarray:
+    for att in post.entries:
+        space.check(att)
+    return np.array(list(post.entries), dtype=np.uint8).reshape(
+        len(post.entries), len(space.variables))
+
+
+def _log_prior(bits: np.ndarray, space: AttackVariableSpace) -> np.ndarray:
+    """Log prior of every bit row, adding factors in variable order."""
+    lp = np.zeros(len(bits))
+    for i in space.free_indices:
+        lam = space.priors[i]
+        log0, log1 = (math.log(p) if p else -math.inf for p in (1.0 - lam, lam))
+        lp += np.where(bits[:, i] == 1, log1, log0)
+    return lp
+
+
+def _log_likelihood(obs: list[Observation], dist: np.ndarray,
+                    space: AttackVariableSpace, cfg: model.ModelConfig) -> np.ndarray:
+    """``joint_log_likelihood`` per row of the observations' distances,
+    adding one observation's column at a time."""
+    w = cfg.w if cfg.family == "exponential" else None
+    table = model.log_likelihood_table(space.n_args, cfg.family, w)
+    ll = np.zeros(len(dist))
+    for j, o in enumerate(obs):
+        ll += o.weight * table[o.label][dist[:, j]]
+    return ll
+
+
+def _exact_scores(obs: list[Observation], space: AttackVariableSpace,
+                  cfg: model.ModelConfig, cap: int):
+    """Bit rows of all assignments, their log prior and log likelihood, and a
+    memo of their tables. No observations means no enumeration."""
+    _check_cap(space, cap)
+    bits = space.assignment_bits()
+    ll, memo = np.zeros(len(bits)), {}
+    if obs:
+        dist = _columns(memo, space, cfg.semantics, [o.subset for o in obs], lambda: bits)
+        ll = _log_likelihood(obs, dist, space, cfg)
+    return bits, _log_prior(bits, space), ll, memo
+
+
 def unnormalized_log_masses(obs: list[Observation], space: AttackVariableSpace,
                             cfg: model.ModelConfig,
                             cap: int = EXACT_CAP) -> dict[Assignment, float]:
-    """Log(prior * likelihood) per consistent assignment."""
-    _check_cap(space, cap)
-    out = {}
-    for att in space.assignments():
-        lp = attack_prior_log(att, space)
-        if lp > -math.inf:
-            lp += joint_log_likelihood(obs, att, space, cfg)
-        out[att] = lp
-    return out
+    """Log(prior * likelihood) per consistent assignment; -inf where the
+    prior is zero."""
+    bits, prior, ll, _ = _exact_scores(obs, space, cfg, cap)
+    return dict(zip(map(tuple, bits.tolist()), (prior + ll).tolist()))
 
 
 def exact_posterior(obs: list[Observation], space: AttackVariableSpace,
                     cfg: model.ModelConfig, cap: int = EXACT_CAP) -> PosteriorDistribution:
     """Normalized posterior over all assignments consistent with the clamps."""
-    masses = unnormalized_log_masses(obs, space, cfg, cap=cap)
-    return PosteriorDistribution(entries=_log_normalize(masses), kind="exact")
+    bits, prior, ll, memo = _exact_scores(obs, space, cfg, cap)
+    keys = list(map(tuple, bits.tolist()))
+    post = PosteriorDistribution(_log_normalize(keys, prior + ll), kind="exact")
+    post._tables.update(memo)
+    return post
 
 
 def sequential_update(post: PosteriorDistribution, new_obs: Observation,
@@ -273,51 +363,54 @@ def sequential_update(post: PosteriorDistribution, new_obs: Observation,
     renormalize; equivalent to batch inference on the concatenated data."""
     if post.kind != "exact":
         raise InputError("sequential update requires an exact posterior")
-    log_masses = {}
-    for att, p in post.entries.items():
-        if p == 0.0:
-            log_masses[att] = -math.inf
-            continue
-        term, = acceptability_likelihood([new_obs], att, space, cfg)
-        log_masses[att] = math.log(p) + term
-    return PosteriorDistribution(entries=_log_normalize(log_masses), kind="exact")
+    dist = _columns(post._tables, space, cfg.semantics, [new_obs.subset],
+                    lambda: _key_bits(post, space))
+    log_p = np.array([math.log(p) if p else -math.inf for p in post.entries.values()])
+    log_masses = log_p + _log_likelihood([new_obs], dist, space, cfg)
+    updated = PosteriorDistribution(_log_normalize(list(post.entries), log_masses),
+                                    kind="exact")
+    updated._tables.update(post._tables)
+    return updated
 
 
-def _argmax_set(scores: dict[Assignment, float]) -> list[Assignment]:
-    best = max(scores.values())
-    if best == -math.inf:
-        # every assignment scores zero; the maximum is attained by all
-        return sorted(scores)
-    return sorted(k for k, v in scores.items() if v == best)
+def _argmax_set(bits: np.ndarray, scores: np.ndarray) -> list[Assignment]:
+    # when every score is -inf, every row attains the maximum
+    return sorted(map(tuple, bits[scores == scores.max()].tolist()))
 
 
 def ml_estimate(obs: list[Observation], space: AttackVariableSpace,
                 cfg: model.ModelConfig, cap: int = EXACT_CAP) -> list[Assignment]:
     """All assignments maximizing the joint likelihood, lexicographic order."""
-    _check_cap(space, cap)
-    scores = {att: joint_log_likelihood(obs, att, space, cfg)
-              for att in space.assignments()}
-    return _argmax_set(scores)
+    bits, _, ll, _ = _exact_scores(obs, space, cfg, cap)
+    return _argmax_set(bits, ll)
 
 
 def map_estimate(obs: list[Observation], space: AttackVariableSpace,
                  cfg: model.ModelConfig, cap: int = EXACT_CAP) -> list[Assignment]:
     """All assignments maximizing prior * likelihood, lexicographic order."""
-    masses = unnormalized_log_masses(obs, space, cfg, cap=cap)
-    return _argmax_set(masses)
+    bits, prior, ll, _ = _exact_scores(obs, space, cfg, cap)
+    return _argmax_set(bits, prior + ll)
 
 
 def evidence(e: int, space: AttackVariableSpace, cfg: model.ModelConfig,
              cap: int = EXACT_CAP) -> float:
     """Marginal probability that subset e is labelled acceptable, averaging
     the likelihood over the attack prior."""
-    _check_cap(space, cap)
-    total = 0.0
-    for att in space.assignments():
-        p = math.exp(attack_prior_log(att, space))
-        if p:
-            total += p * theta(e, att, space, cfg)
-    return total
+    bits, log_prior, _, _ = _exact_scores([], space, cfg, cap)
+    prior = np.array([math.exp(lp) for lp in log_prior.tolist()])
+    dist = _columns({}, space, cfg.semantics, [e], lambda: bits)[:, 0]
+    w = cfg.w if cfg.family == "exponential" else None
+    terms = prior * model.theta_table(space.n_args, cfg.family, w)[dist]
+    return _ordered_sum(terms[prior != 0].tolist())
+
+
+def subset_thetas(att: Assignment, space: AttackVariableSpace,
+                  cfg: model.ModelConfig) -> np.ndarray:
+    """Parameter of every subset mask under the framework of ``att``."""
+    space.check(att)
+    w = cfg.w if cfg.family == "exponential" else None
+    dist = model._agreement_stats(space.n_args, space.attacks_of(att), cfg.semantics)
+    return model.theta_table(space.n_args, cfg.family, w)[dist]
 
 
 def ml_prediction(att: Assignment, space: AttackVariableSpace,
@@ -327,11 +420,7 @@ def ml_prediction(att: Assignment, space: AttackVariableSpace,
     A subset is labelled 1 when its parameter exceeds 0.5; exact ties go to 0
     (they cannot occur in the w >= 2 regime the guarantee covers).
     """
-    space.check(att)
-    n = space.n_args
-    w = cfg.w if cfg.family == "exponential" else None
-    dist = model._agreement_stats(n, space.attacks_of(att), cfg.semantics)
-    return (model.theta_table(n, cfg.family, w)[dist] > 0.5).astype(int).tolist()
+    return (subset_thetas(att, space, cfg) > 0.5).astype(int).tolist()
 
 
 def posterior_predictive(e: int, post: PosteriorDistribution,
@@ -340,8 +429,9 @@ def posterior_predictive(e: int, post: PosteriorDistribution,
     """p(subset e is acceptable | data): posterior-weighted average of the
     acceptability parameter, by default under the prediction family."""
     fam = family or cfg.prediction_family
-    total = 0.0
-    for att, p in post.entries.items():
-        if p:
-            total += p * theta(e, att, space, cfg, family=fam)
-    return total
+    w = cfg.w if fam == "exponential" else None
+    dist = _columns(post._tables, space, cfg.semantics, [e],
+                    lambda: _key_bits(post, space))[:, 0]
+    p = np.fromiter(post.entries.values(), float, len(post.entries))
+    terms = p * model.theta_table(space.n_args, fam, w)[dist]
+    return _ordered_sum(terms[p != 0].tolist())

@@ -92,22 +92,27 @@ def _flips(n: int) -> tuple[np.ndarray, ...]:
     return tuple(idx ^ (1 << a) for a in range(n))
 
 
+def distance_to_extension(dist: np.ndarray) -> np.ndarray:
+    """Relax int8 ``dist`` in place into the Hamming distance from each subset
+    mask to the nearest extension, and return it. The first axis runs over
+    the 2^n masks (so a flip gathers whole rows), any other over frameworks;
+    entries start at 0 on extensions and n + 1 elsewhere, so a framework with
+    no extension stays at n + 1. One pass per argument relaxes each entry
+    against its neighbour across that bit; Hamming distance is a sum over
+    bits, so n passes are exact."""
+    for flip in _flips(len(dist).bit_length() - 1):
+        np.minimum(dist, dist[flip] + 1, out=dist)
+    return dist
+
+
 @lru_cache(maxsize=1 << 12)
 def _agreement_stats(n: int, attacks: tuple[tuple[int, int], ...],
                      semantics: str) -> np.ndarray:
-    """Read-only int8 Hamming distance from each subset mask to the nearest
-    extension; n + 1 everywhere when there is no extension.
-
-    One pass per argument relaxes each entry against its neighbour across
-    that bit; Hamming distance is a sum over bits, so n passes are exact.
-    ``attacks`` must be sorted, as the cache is keyed by it.
-    """
+    """Read-only ``distance_to_extension`` table of one framework.
+    ``attacks`` must be sorted, as the cache is keyed by it."""
     dist = np.full(1 << n, n + 1, dtype=np.int8)
-    exts = af.extensions_for_attacks(n, attacks, semantics)
-    if exts:
-        dist[list(exts)] = 0
-        for flip in _flips(n):
-            np.minimum(dist, dist[flip] + 1, out=dist)
+    dist[list(af.extensions_for_attacks(n, attacks, semantics))] = 0
+    dist = distance_to_extension(dist)
     dist.flags.writeable = False
     return dist
 

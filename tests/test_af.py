@@ -1,10 +1,18 @@
 import itertools
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from argbayes.af import SEMANTICS, ArgumentationFramework, extensions, mask_of
+from argbayes.af import (
+    SEMANTICS,
+    ArgumentationFramework,
+    _extensions_cached,
+    extension_matrix,
+    extensions,
+    mask_of,
+)
 from argbayes.errors import CapacityError, InputError
 from argbayes.inference import AttackVariableSpace, theta
 from argbayes.model import ModelConfig
@@ -45,6 +53,66 @@ def frameworks(draw):
 @given(frameworks())
 def test_kernel_matches_oracle_on_random_frameworks(framework):
     assert_matches_oracle(*framework)
+
+
+@st.composite
+def relations(draw, n):
+    """A directed relation that may hold self-loops, or a symmetric one."""
+    if draw(st.booleans()):
+        pairs = [(a, b) for a in range(n) for b in range(n)]
+    else:
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        pairs += [(b, a) for a, b in pairs]
+    present = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return sorted(p for p, keep in zip(pairs, present) if keep)
+
+
+@st.composite
+def batches(draw):
+    n = draw(st.integers(0, 7))
+    return n, draw(st.lists(relations(n), min_size=1, max_size=4))
+
+
+def attack_columns(n, batch):
+    att_from = np.zeros((len(batch), n), dtype=np.int64)
+    att_to = np.zeros_like(att_from)
+    for row, pairs in enumerate(batch):
+        for a, b in pairs:
+            att_from[row, a] |= 1 << b
+            att_to[row, b] |= 1 << a
+    return att_from, att_to
+
+
+# the 3-cycle and the self-attacker have no stable extension
+@settings(max_examples=150, deadline=None)
+@given(batches())
+@example((3, [[(0, 1), (1, 2), (2, 0)], [], [(0, 0)], [(0, 1), (1, 0)]]))
+@example((0, [[]]))
+def test_batched_kernel_matches_single_kernel_and_oracle(batch):
+    n, frameworks = batch
+    att_from, att_to = attack_columns(n, frameworks)
+    for semantics in SEMANTICS:
+        matrix = extension_matrix(att_from, att_to, semantics)
+        assert matrix.shape == (len(frameworks), 1 << n)
+        for row, pairs in zip(matrix, frameworks):
+            got = tuple(np.flatnonzero(row).tolist())
+            assert got == _extensions_cached(n, tuple(pairs), semantics)
+            assert set(got) == {to_mask(s) for s in
+                                brute_extensions(n, frozenset(pairs), semantics)}
+
+
+def test_batched_kernel_at_the_enumeration_cap():
+    full = (1 << 16) - 1
+    att_from, att_to = attack_columns(16, [[], MUTUAL])
+    preferred = extension_matrix(att_from, att_to, "preferred")
+    assert np.flatnonzero(preferred[0]).tolist() == [full]
+    assert np.flatnonzero(preferred[1]).tolist() == [full ^ 0b10, full ^ 0b01]
+    grounded = extension_matrix(att_from, att_to, "grounded")
+    assert np.flatnonzero(grounded[1]).tolist() == [full ^ 0b11]
+    with pytest.raises(CapacityError):
+        extension_matrix(*attack_columns(17, [[]]), "complete")
+    with pytest.raises(InputError):
+        extension_matrix(att_from, att_to, "ideal")
 
 
 class TestBasicPredicates:

@@ -135,6 +135,18 @@ class TestPredict:
         lines = capsys.readouterr().out.splitlines()
         assert all("p(acceptable)=" in line for line in lines)
 
+    def test_posterior_of_another_argument_count(self, votes3, tmp_path, capsys):
+        votes4 = write(tmp_path, "votes4.csv",
+                       "participant,a,b,c,d\np0,1,0,0,1\np1,0,1,1,0\n")
+        out = tmp_path / "out"
+        assert run(["posterior", "--votes", votes4, "--mode", "symmetric",
+                    "--out-dir", str(out)]) == 0
+        capsys.readouterr()
+        code = run(["predict", "--votes", votes3, "--mode", "symmetric",
+                    "--posterior", str(out / "posterior.csv")])
+        assert code == 2
+        assert "length" in capsys.readouterr().err
+
 
 class TestCrossval:
     def test_learning_curve_file(self, votes3, tmp_path, capsys):

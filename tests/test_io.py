@@ -1,11 +1,21 @@
 import importlib.resources
+import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from argbayes import io
-from argbayes.af import ArgumentationFramework
-from argbayes.errors import ConfigError, ParseError, SchemaError
-from argbayes.inference import Observation, PosteriorDistribution
+from argbayes.af import SEMANTICS, ArgumentationFramework
+from argbayes.errors import ConfigError, DegenerateEvidenceError, ParseError, SchemaError
+from argbayes.inference import (
+    AttackVariableSpace,
+    Observation,
+    PosteriorDistribution,
+    exact_posterior,
+    posterior_predictive,
+)
+from argbayes.model import FAMILIES, ModelConfig
 
 
 DATA = importlib.resources.files("argbayes") / "data"
@@ -131,6 +141,30 @@ class TestPosteriorFiles:
         again = io.load_posterior(path)
         assert again.entries == post.entries
         assert sum(again.entries.values()) == pytest.approx(1.0, abs=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 3), st.sampled_from(("directed", "symmetric")),
+           st.sampled_from(SEMANTICS), st.sampled_from(FAMILIES),
+           st.lists(st.tuples(st.integers(0, 7), st.integers(0, 1)), max_size=6))
+    def test_exact_posterior_round_trips_bit_exactly(self, tmp_path_factory, n, mode,
+                                                      semantics, family, votes):
+        space = AttackVariableSpace.create(n, mode=mode, priors=0.3)
+        cfg = ModelConfig(semantics=semantics, family=family, w=2.0)
+        obs = [Observation(d % (1 << n), label) for d, label in votes]
+        try:
+            post = exact_posterior(obs, space, cfg)
+        except DegenerateEvidenceError:
+            return
+        path = tmp_path_factory.mktemp("post") / "post.csv"
+        io.save_posterior(path, post)
+        again = io.load_posterior(path)
+
+        def bits(entries):
+            return {att: struct.pack("<d", p) for att, p in entries.items()}
+        assert bits(again.entries) == bits(post.entries)
+        for e in range(1 << n):
+            assert posterior_predictive(e, again, space, cfg) == \
+                posterior_predictive(e, post, space, cfg)
 
     def test_bad_header(self, tmp_path):
         p = write(tmp_path, "post.csv", "foo,bar\n00,1.0\n")
