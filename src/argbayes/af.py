@@ -2,10 +2,13 @@
 
 Arguments are dense indices 0..n-1; subsets of arguments are n-bit masks.
 External string identifiers are mapped to indices once at the I/O boundary.
-All functions here are pure; enumeration results are cached by the attack
-relation, so repeated queries (e.g. from a Gibbs sweep) are cheap.
-``extension_matrix`` evaluates a batch of frameworks over the same arguments
-in one array pass, for callers that score many relations at once.
+All functions here are pure. One kernel, ``extension_matrix``, enumerates
+extensions: it evaluates a batch of frameworks over the same arguments on all
+2^n subset masks at once, in O(n·2^n) time and O(2^n) uint16 memory per
+framework, preferred included. ``_extensions_cached`` is its batch of one,
+cached by the attack relation so repeated queries (e.g. from a Gibbs sweep)
+are cheap; only the grounded extension is computed there directly, as the
+scalar least fixed point of the characteristic function.
 """
 
 from __future__ import annotations
@@ -25,14 +28,7 @@ ENUMERATION_CAP = 16
 
 def bits_of(mask: int) -> list[int]:
     """Indices of set bits, ascending."""
-    out = []
-    a = 0
-    while mask:
-        if mask & 1:
-            out.append(a)
-        mask >>= 1
-        a += 1
-    return out
+    return [a for a in range(mask.bit_length()) if mask >> a & 1]
 
 
 def mask_of(indices: Iterable[int]) -> int:
@@ -85,55 +81,25 @@ class ArgumentationFramework:
 @lru_cache(maxsize=1 << 18)
 def _extensions_cached(n: int, attacks: tuple[tuple[int, int], ...],
                        semantics: str) -> tuple[int, ...]:
-    att_from = [0] * max(n, 1)
-    att_to = [0] * max(n, 1)
+    att_from = [0] * n
+    att_to = [0] * n
     for (a, b) in attacks:
         att_from[a] |= 1 << b
         att_to[b] |= 1 << a
 
     if semantics == "grounded":
         # least fixed point of the characteristic function, from the empty set
-        s = 0
-        while True:
-            attacked = 0
+        s, nxt = -1, 0
+        while nxt != s:
+            s, attacked = nxt, 0
             for a in bits_of(s):
                 attacked |= att_from[a]
-            nxt = 0
-            for a in range(n):
-                if att_to[a] & ~attacked == 0:
-                    nxt |= 1 << a
-            if nxt == s:
-                return (s,)
-            s = nxt
+            nxt = sum(1 << a for a in range(n) if att_to[a] & ~attacked == 0)
+        return (s,)
 
-    size = 1 << n
-    subsets = np.arange(size, dtype=np.int64)
-    attacked = np.zeros(size, dtype=np.int64)
-    for a in range(n):
-        member = -((subsets >> a) & 1)  # 0 or all-ones
-        attacked |= member & att_from[a]
-    cf = (attacked & subsets) == 0
-
-    if semantics == "stable":
-        keep = cf & (attacked == (subsets ^ (size - 1)))
-        return tuple(subsets[keep].tolist())
-
-    defended = np.zeros(size, dtype=np.int64)
-    for a in range(n):
-        ok = (att_to[a] & ~attacked) == 0
-        defended |= ok.astype(np.int64) << a
-
-    if semantics == "complete":
-        keep = cf & (defended == subsets)
-        return tuple(subsets[keep].tolist())
-    if semantics == "preferred":
-        adm = cf & ((subsets & defended) == subsets)
-        cand = subsets[adm]
-        inside = (cand[:, None] & cand[None, :]) == cand[:, None]
-        strictly = inside & (cand[:, None] != cand[None, :])
-        maximal = ~strictly.any(axis=1)
-        return tuple(cand[maximal].tolist())
-    raise InputError(f"unknown semantics {semantics!r}")
+    row = extension_matrix(np.array([att_from], dtype=np.uint16),
+                           np.array([att_to], dtype=np.uint16), semantics)[0]
+    return tuple(np.flatnonzero(row).tolist())
 
 
 def extensions(af: ArgumentationFramework, semantics: str,
@@ -158,6 +124,17 @@ def extensions_for_attacks(n: int, attacks: tuple[tuple[int, int], ...],
     return _extensions_cached(n, tuple(sorted(attacks)), semantics)
 
 
+@lru_cache(maxsize=None)
+def _subset_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only uint16 arrays over the 2^n subset masks: the masks
+    themselves, and per argument a row that is all-ones where a is a member
+    and 0 elsewhere."""
+    subsets = np.arange(1 << n, dtype=np.uint16)
+    members = -((subsets >> np.arange(n, dtype=np.uint16)[:, None]) & 1)
+    subsets.flags.writeable = members.flags.writeable = False
+    return subsets, members
+
+
 def extension_matrix(att_from: np.ndarray, att_to: np.ndarray,
                      semantics: str) -> np.ndarray:
     """Bool [B, 2^n] extension indicator of B frameworks, given as attack
@@ -171,11 +148,13 @@ def extension_matrix(att_from: np.ndarray, att_to: np.ndarray,
     batch, n = att_from.shape
     if n > ENUMERATION_CAP:
         raise CapacityError(f"{n} arguments exceed the enumeration cap of {ENUMERATION_CAP}")
-    att_from, att_to = att_from.astype(np.uint16), att_to.astype(np.uint16)
-    subsets, full = np.arange(1 << n, dtype=np.uint16), (1 << n) - 1
+    att_from = np.asarray(att_from, dtype=np.uint16)
+    att_to = np.asarray(att_to, dtype=np.uint16)
+    subsets, members = _subset_masks(n)
+    full = (1 << n) - 1
     attacked = np.zeros((batch, 1 << n), dtype=np.uint16)
-    for a in range(n):  # the negated bit is 0 or all-ones
-        attacked |= -((subsets >> a) & 1) & att_from[:, a, None]
+    for a in range(n):
+        attacked |= members[a] & att_from[:, a, None]
     cf = (attacked & subsets) == 0
     if semantics == "stable":
         return cf & (attacked == (subsets ^ full))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,10 +26,9 @@ from .errors import (
     PlanError,
     SchemaError,
 )
-from .gibbs import GibbsConfig, convergence_trace, run_gibbs
+from .gibbs import convergence_trace, run_gibbs
 from .harness import SplitPlan, cross_validate, synthetic_experiment
 from .inference import AttackVariableSpace, exact_posterior, posterior_predictive
-from .model import ModelConfig
 
 
 class _Parser(argparse.ArgumentParser):
@@ -70,19 +70,12 @@ def _add_gibbs_flags(p):
 
 def _resolve_run_config(args) -> io.RunConfig:
     base = io.load_config(args.config) if args.config else io.parse_config_text("")
-    mkw = dict(semantics=base.model.semantics, family=base.model.family,
-               w=base.model.w, prediction_family=base.model.prediction_family)
-    for key, attr in (("semantics", "semantics"), ("family", "family"), ("w", "w")):
-        v = getattr(args, attr, None)
-        if v is not None:
-            mkw[key] = v
-    gkw = dict(iterations=base.gibbs.iterations, burn_in=base.gibbs.burn_in,
-               seed=base.gibbs.seed, chains=base.gibbs.chains)
-    for key, attr in (("iterations", "iterations"), ("burn_in", "burn_in"),
-                      ("seed", "seed"), ("chains", "chains")):
-        v = getattr(args, attr, None)
-        if v is not None:
-            gkw[key] = v
+
+    def flags(*keys):
+        return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
+
+    model = replace(base.model, **flags("semantics", "family", "w"))
+    gibbs = replace(base.gibbs, **flags("iterations", "burn_in", "seed", "chains"))
     priors = base.priors
     lam = getattr(args, "lam", None)
     if lam is not None:
@@ -92,8 +85,8 @@ def _resolve_run_config(args) -> io.RunConfig:
     if getattr(args, "convention", None):
         conv = io.ObservationConvention(mode=args.convention,
                                         negative_rows=base.convention.negative_rows)
-    return io.RunConfig(model=ModelConfig(**mkw), gibbs=GibbsConfig(**gkw),
-                        priors=priors, mode=mode, convention=conv)
+    return io.RunConfig(model=model, gibbs=gibbs, priors=priors, mode=mode,
+                        convention=conv)
 
 
 def _load_observation_space(args, run: io.RunConfig):

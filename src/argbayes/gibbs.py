@@ -2,15 +2,18 @@
 
 Each sweep resamples every free variable in lexicographic order from its full
 conditional (prior factor times the likelihood of all observations, with all
-other bits at their freshest values). The current state's likelihood terms
-are reused from the previous update, so each update scores one new framework
-(both states only on a chain's first update). One assignment is recorded per
-sweep; samples after the burn-in form the histogram. Seeding uses numpy
-SeedSequence, with per-chain substreams so multi-chain runs stay reproducible.
+other bits at their freshest values). The chain starts from a uniform draw
+of the free bits, or, when that has zero mass, from a prior draw of finite
+mass (``_start``). The current state's likelihood terms are reused from the
+previous update, so each update scores one new framework. One assignment is
+recorded per sweep; samples after the burn-in form the histogram. Seeding
+uses numpy SeedSequence, with per-chain substreams so multi-chain runs stay
+reproducible.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -100,21 +103,47 @@ def gibbs_conditional(m: int, current: Assignment, obs: list[Observation],
     return 1.0 - p1, p1
 
 
+#: Most prior draws that look for a start of finite mass.
+START_DRAWS = 1024
+
+
+def _start(obs, space, cfg, rng) -> tuple[Assignment, list[float]]:
+    """Initial state and its likelihood terms: a uniform draw of the free
+    bits. When that has zero mass (a bit outside its prior's support, or a
+    zero likelihood factor), both values of a variable may have zero
+    conditional mass, so the first of up to START_DRAWS prior draws from the
+    same RNG with a finite likelihood replaces it, if there is one. A uniform
+    draw of finite mass draws nothing more."""
+    free, clamp = space.free_indices, space.clamp_map
+    lam = np.array(space.priors)[free]
+    state = np.array([clamp.get(i, 0) for i in range(len(space.variables))])
+
+    def scored(bits):
+        state[free] = bits
+        att = tuple(state.tolist())
+        return att, acceptability_likelihood(obs, att, space, cfg)
+
+    bits = rng.integers(0, 2, size=len(free))
+    first = scored(bits)
+    if -math.inf not in first[1][-1:] and np.all((0 < lam) & (lam < 1) | (bits == lam)):
+        return first
+    for _ in range(START_DRAWS if free else 0):
+        drawn = scored(rng.random(len(free)) < lam)
+        if -math.inf not in drawn[1][-1:]:
+            return drawn
+    return first
+
+
 def _run_chain(obs, space, cfg, iterations, burn_in, rng):
     free = space.free_indices
-    clamp = space.clamp_map
-    state = [clamp.get(i, 0) for i in range(len(space.variables))]
-    init = rng.integers(0, 2, size=len(free))
-    for i, b in zip(free, init):
-        state[i] = int(b)
-    state = tuple(state)
+    state, terms = _start(obs, space, cfg, rng)
 
     counts: dict[Assignment, int] = {}
     seen: set[Assignment] = set()
     new_flags: list[int] = []
     # the drawn state is always one of the two just scored, so a one-entry
     # memo hands its terms to the next update
-    memo: dict[Assignment, list[float]] = {}
+    memo = {state: terms}
     for it in range(1, iterations + 1):
         for m in free:
             _, p1 = gibbs_conditional(m, state, obs, space, cfg, memo)
@@ -133,8 +162,9 @@ def _run_chain(obs, space, cfg, iterations, burn_in, rng):
 
 def run_gibbs(obs: list[Observation], space: AttackVariableSpace,
               cfg: model.ModelConfig, g: GibbsConfig) -> SampleHistogram:
-    """Algorithm: random initial assignment, I full sweeps, histogram over
-    the post-burn-in samples. Identical seed and inputs give identical output."""
+    """Algorithm: random initial assignment, of finite mass where one is
+    found (``_start``), I full sweeps, histogram over the post-burn-in
+    samples. Identical seed and inputs give identical output."""
     hist = SampleHistogram(iterations=g.iterations, burn_in=g.burn_in,
                            chains=g.chains)
     streams = np.random.SeedSequence(g.seed).spawn(g.chains)
@@ -149,9 +179,4 @@ def run_gibbs(obs: list[Observation], space: AttackVariableSpace,
 
 def convergence_trace(hist: SampleHistogram) -> list[int]:
     """Cumulative count of distinct assignments seen through each iteration."""
-    out = []
-    total = 0
-    for f in hist.new_flags:
-        total += f
-        out.append(total)
-    return out
+    return list(itertools.accumulate(hist.new_flags))

@@ -150,13 +150,9 @@ class AttackVariableSpace:
     def assignment_from_attacks(self, attacks) -> Assignment:
         """Bit encoding of a concrete attack relation."""
         attacks = set(tuple(p) for p in attacks)
-        bits = []
-        for (a, b) in self.variables:
-            if self.mode == "symmetric":
-                bits.append(1 if ((a, b) in attacks or (b, a) in attacks) else 0)
-            else:
-                bits.append(1 if (a, b) in attacks else 0)
-        return tuple(bits)
+        if self.mode == "symmetric":
+            attacks |= {(b, a) for a, b in attacks}
+        return tuple(int(p in attacks) for p in self.variables)
 
 
 @dataclass(frozen=True)

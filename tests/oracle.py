@@ -84,3 +84,27 @@ def all_symmetric_relations(n):
     for k in range(1 << len(pairs)):
         chosen = [p for i, p in enumerate(pairs) if (k >> i) & 1]
         yield frozenset(chosen) | frozenset((b, a) for (a, b) in chosen)
+
+
+def maximal_conflict_free_sets(n, attacks):
+    """Maximal conflict-free sets of a symmetric irreflexive relation: the
+    maximal independent sets of its attack graph, found as the maximal
+    cliques of the complement graph by Bron-Kerbosch with pivoting. Unlike the
+    subset enumerations above, this scales to 16 arguments at low density."""
+    compatible = {a: {b for b in range(n) if b != a and (a, b) not in attacks}
+                  for a in range(n)}
+    found = []
+
+    def expand(clique, candidates, excluded):
+        if not candidates and not excluded:
+            found.append(frozenset(clique))
+            return
+        pivot = max(candidates | excluded,
+                    key=lambda u: len(compatible[u] & candidates))
+        for v in list(candidates - compatible[pivot]):
+            expand(clique | {v}, candidates & compatible[v], excluded & compatible[v])
+            candidates = candidates - {v}
+            excluded = excluded | {v}
+
+    expand(set(), set(range(n)), set())
+    return found

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from oracle import (
     all_directed_relations,
     all_symmetric_relations,
     brute_extensions,
+    maximal_conflict_free_sets,
     to_mask,
 )
 
@@ -113,6 +115,64 @@ def test_batched_kernel_at_the_enumeration_cap():
         extension_matrix(*attack_columns(17, [[]]), "complete")
     with pytest.raises(InputError):
         extension_matrix(att_from, att_to, "ideal")
+
+
+FULL16 = (1 << 16) - 1
+
+
+@pytest.mark.parametrize("semantics", SEMANTICS)
+def test_single_kernel_at_the_cap_without_attacks(semantics):
+    # every subset is admissible: a pairwise comparison of admissible sets
+    # would need 2^32 entries; the kernel stays within 2 s
+    _extensions_cached.cache_clear()
+    start = time.perf_counter()
+    assert extensions(af_of(16, []), semantics) == (FULL16,)
+    assert time.perf_counter() - start < 2.0
+
+
+@pytest.mark.parametrize("semantics,expected", [
+    ("grounded", (FULL16 ^ 0b11,)),
+    ("complete", (FULL16 ^ 0b11, FULL16 ^ 0b10, FULL16 ^ 0b01)),
+    ("preferred", (FULL16 ^ 0b10, FULL16 ^ 0b01)),
+    ("stable", (FULL16 ^ 0b10, FULL16 ^ 0b01)),
+])
+def test_single_kernel_at_the_cap_with_one_mutual_pair(semantics, expected):
+    # 3 * 2^14 = 49,152 admissible sets; the kernel stays within 2 s
+    _extensions_cached.cache_clear()
+    start = time.perf_counter()
+    assert extensions(af_of(16, MUTUAL), semantics) == expected
+    assert time.perf_counter() - start < 2.0
+
+
+@st.composite
+def sparse_symmetric_frameworks(draw):
+    n = draw(st.integers(10, 16))
+    density = draw(st.floats(0.02, 0.3))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    draws = draw(st.lists(st.floats(0, 1), min_size=len(pairs), max_size=len(pairs)))
+    return n, [p for p, u in zip(pairs, draws) if u < density]
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_symmetric_frameworks())
+@example((16, []))
+@example((16, [(0, 1)]))
+def test_symmetric_preferred_and_stable_are_maximal_conflict_free(framework):
+    # Coste-Marquis, Devred & Marquis (2005): in a symmetric irreflexive
+    # framework the preferred (and the stable) extensions are exactly the
+    # maximal conflict-free sets; the oracle finds those without the kernel
+    n, pairs = framework
+    af = af_of(n, pairs, symmetric=True)
+    expected = sorted(to_mask(s) for s in maximal_conflict_free_sets(n, af.attacks))
+    assert list(extensions(af, "preferred")) == expected
+    assert list(extensions(af, "stable")) == expected
+
+
+def test_maximal_conflict_free_oracle_matches_brute_preferred():
+    for n in (0, 1, 2, 3, 4):
+        for attacks in all_symmetric_relations(n):
+            assert set(maximal_conflict_free_sets(n, attacks)) == \
+                brute_extensions(n, attacks, "preferred")
 
 
 class TestBasicPredicates:

@@ -51,6 +51,13 @@ class TestSemantics:
                     "--semantics", "grounded"]) == 0
         assert capsys.readouterr().out.splitlines() == ["{}"]
 
+    def test_preferred_at_the_cap_without_attacks(self, tmp_path, capsys):
+        # every one of the 2^16 subsets is admissible
+        names = ", ".join(f'"a{i}"' for i in range(16))
+        path = write(tmp_path, "free16.json", f'{{"arguments": [{names}], "attacks": []}}')
+        assert run(["semantics", "--framework", path, "--semantics", "preferred"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1
+
     def test_missing_file(self, capsys):
         assert run(["semantics", "--framework", "/nonexistent.json"]) == 2
 

@@ -140,8 +140,31 @@ class TestRunGibbs:
         g = GibbsConfig(30, 5, seed=4)
         run_gibbs(obs, space, CFG, g)
         updates = g.iterations * len(space.free_indices)
-        # both states are scored only on the first update
+        # the start is scored once, then one new state per update
         assert len(calls) == updates + 1
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_zero_mass_start_is_redrawn(self, seed):
+        # under the deterministic family only the truth and one neighbour
+        # have all six complete extensions of the truth as extensions, so a
+        # uniform start almost always has zero mass
+        space = AttackVariableSpace.create(4, mode="symmetric")
+        obs = [Observation(d, 1) for d in (0, 1, 5, 8, 9, 10)]
+        cfg = ModelConfig(family="deterministic", w=None,
+                          prediction_family="deterministic")
+        hist = run_gibbs(obs, space, cfg, GibbsConfig(50, 10, seed=seed))
+        exact = exact_posterior(obs, space, cfg)
+        assert exact.prob((1, 0, 0, 1, 0, 1)) == 0.5
+        assert hist.total == 40
+        assert all(exact.prob(att) > 0 for att in hist.counts)
+
+    def test_no_finite_mass_start_still_raises(self):
+        space = AttackVariableSpace.create(2, mode="symmetric")
+        obs = [Observation(0, 1), Observation(3, 1)]
+        cfg = ModelConfig(family="deterministic", w=None,
+                          prediction_family="deterministic")
+        with pytest.raises(DegenerateEvidenceError):
+            run_gibbs(obs, space, cfg, GibbsConfig(10, 2, seed=0))
 
     def test_multi_chain_merges_counts(self):
         space = sym3()
