@@ -4,8 +4,9 @@ Arguments are dense indices 0..n-1; subsets of arguments are n-bit masks.
 External string identifiers are mapped to indices once at the I/O boundary.
 All functions here are pure. One kernel, ``extension_matrix``, enumerates
 extensions: it evaluates a batch of frameworks over the same arguments on all
-2^n subset masks at once, in O(n·2^n) time and O(2^n) uint16 memory per
-framework, preferred included. ``_extensions_cached`` is its batch of one,
+2^n subset masks at once, in O(2^n) time and uint16 memory per framework
+(attacked sets by subset doubling, defence by one gather); preferred adds n
+passes over 2^n/64 packed words. ``_extensions_cached`` is its batch of one,
 cached by the attack relation so repeated queries (e.g. from a Gibbs sweep)
 are cheap; only the grounded extension is computed there directly, as the
 scalar least fixed point of the characteristic function.
@@ -97,8 +98,7 @@ def _extensions_cached(n: int, attacks: tuple[tuple[int, int], ...],
             nxt = sum(1 << a for a in range(n) if att_to[a] & ~attacked == 0)
         return (s,)
 
-    row = extension_matrix(np.array([att_from], dtype=np.uint16),
-                           np.array([att_to], dtype=np.uint16), semantics)[0]
+    row = extension_matrix(np.array([att_from], dtype=np.uint16), semantics)[0]
     return tuple(np.flatnonzero(row).tolist())
 
 
@@ -125,23 +125,25 @@ def extensions_for_attacks(n: int, attacks: tuple[tuple[int, int], ...],
 
 
 @lru_cache(maxsize=None)
-def _subset_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only uint16 arrays over the 2^n subset masks: the masks
-    themselves, and per argument a row that is all-ones where a is a member
-    and 0 elsewhere."""
-    subsets = np.arange(1 << n, dtype=np.uint16)
-    members = -((subsets >> np.arange(n, dtype=np.uint16)[:, None]) & 1)
-    subsets.flags.writeable = members.flags.writeable = False
-    return subsets, members
+def _subset_masks(n: int) -> np.ndarray:
+    """Read-only uint16 column [2^n, 1] of the subset masks themselves."""
+    subsets = np.arange(1 << n, dtype=np.uint16)[:, None]
+    subsets.flags.writeable = False
+    return subsets
 
 
-def extension_matrix(att_from: np.ndarray, att_to: np.ndarray,
-                     semantics: str) -> np.ndarray:
+#: Per bit a < 6, the positions of a 64-subset word whose subsets leave a clear.
+_WORD_CLEAR = np.array([0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F,
+                        0x00FF00FF00FF00FF, 0x0000FFFF0000FFFF, 0x00000000FFFFFFFF],
+                       dtype="<u8")
+
+
+def extension_matrix(att_from: np.ndarray, semantics: str) -> np.ndarray:
     """Bool [B, 2^n] extension indicator of B frameworks, given as attack
-    masks per argument: ``att_from[b, a]`` (whom a attacks) and
-    ``att_to[b, a]`` (who attacks a), both [B, n]. Masks are uint16, which
-    holds every subset within the cap. Grounded is the least complete
-    extension, preferred an admissible set with no admissible strict superset.
+    masks per argument: ``att_from[b, a]`` is whom a attacks, [B, n]. Masks
+    are uint16, which holds every subset within the cap. Grounded is the least
+    complete extension, preferred an admissible set with no admissible strict
+    superset.
     """
     if semantics not in SEMANTICS:
         raise InputError(f"unknown semantics {semantics!r}")
@@ -149,30 +151,39 @@ def extension_matrix(att_from: np.ndarray, att_to: np.ndarray,
     if n > ENUMERATION_CAP:
         raise CapacityError(f"{n} arguments exceed the enumeration cap of {ENUMERATION_CAP}")
     att_from = np.asarray(att_from, dtype=np.uint16)
-    att_to = np.asarray(att_to, dtype=np.uint16)
-    subsets, members = _subset_masks(n)
-    full = (1 << n) - 1
-    attacked = np.zeros((batch, 1 << n), dtype=np.uint16)
+    subsets, full = _subset_masks(n), (1 << n) - 1
+    # subset-major [2^n, B]: the subsets with top bit a are those below 2^a plus a
+    attacked = np.zeros((1 << n, batch), dtype=np.uint16)
     for a in range(n):
-        attacked |= members[a] & att_from[:, a, None]
+        np.bitwise_or(attacked[:1 << a], att_from[:, a], out=attacked[1 << a:2 << a])
     cf = (attacked & subsets) == 0
     if semantics == "stable":
-        return cf & (attacked == (subsets ^ full))
-    unattacked, defended = ~attacked, np.zeros_like(attacked)
-    for a in range(n):
-        defended |= ((att_to[:, a, None] & unattacked) == 0).astype(np.uint16) << a
-    complete = cf & (defended == subsets)
-    if semantics == "complete":
-        return complete
-    if semantics == "grounded":
-        least = np.bitwise_and.reduce(np.where(complete, subsets, full), axis=1)
-        return subsets == least[:, None]
-    adm = cf & ((subsets & defended) == subsets)
+        return (cf & (attacked == (subsets ^ full))).T
+    # s leaves a undefended when an argument s does not attack attacks a
+    unattacked = (attacked ^ full).astype(np.intp)
+    unattacked *= batch
+    unattacked += np.arange(batch)
+    defended = full ^ np.take(attacked.ravel(), unattacked)
+    if semantics != "preferred":
+        complete = cf & (defended == subsets)
+        if semantics == "complete":
+            return complete.T
+        # complete rows keep their subset, the others turn all-ones under the AND
+        least = np.bitwise_and.reduce(subsets | (complete - np.uint16(1)), axis=0)
+        return (subsets == least).T
+    # admissible sets, framework-major, 64 subsets per little-endian word
+    words = np.zeros((batch, max(8, (1 << n) >> 3)), dtype=np.uint8)
+    words[:, :((1 << n) + 7) >> 3] = np.packbits(
+        (cf & ((subsets & defended) == subsets)).T.copy(), axis=1, bitorder="little")
+    adm = words.view("<u8")
     # larger[s]: some admissible strict superset of s differs from s only in
     # the bits passed so far; pass a adds the supersets through s | bit a
     larger = np.zeros_like(adm)
-    for a in range(n):
-        shape = (batch, 1 << (n - a - 1), 2, 1 << a)  # [.., bit a clear/set, ..]
+    for a in range(min(n, 6)):
+        larger |= ((adm | larger) >> np.uint64(1 << a)) & _WORD_CLEAR[a]
+    for a in range(6, n):
+        shape = (batch, 1 << (n - a - 1), 2, 1 << (a - 6))  # [.., bit a clear/set, ..]
         pairs = larger.reshape(shape)
         pairs[:, :, 0] |= adm.reshape(shape)[:, :, 1] | pairs[:, :, 1]
-    return adm & ~larger
+    return np.unpackbits((adm & ~larger).view(np.uint8), axis=1, count=1 << n,
+                         bitorder="little").view(bool)

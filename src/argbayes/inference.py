@@ -262,12 +262,10 @@ def _tables(bits: np.ndarray, space: AttackVariableSpace, semantics: str,
     for lo in range(0, max(len(bits), 1), step):
         chunk = bits[lo:lo + step].astype(np.int64)
         att_from = np.zeros((len(chunk), space.n_args), dtype=np.int64)
-        att_to = np.zeros_like(att_from)
         for i, (a, b) in enumerate(space.variables):
             for x, y in ((a, b), (b, a)) if space.mode == "symmetric" else ((a, b),):
                 att_from[:, x] |= chunk[:, i] << y
-                att_to[:, y] |= chunk[:, i] << x
-        is_ext = af.extension_matrix(att_from, att_to, semantics)
+        is_ext = af.extension_matrix(att_from, semantics)
         dist = np.full(is_ext.shape[::-1], space.n_args + 1, dtype=np.int8)
         dist[is_ext.T] = 0
         dist = model.distance_to_extension(dist).T

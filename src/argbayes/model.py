@@ -52,8 +52,8 @@ class ModelConfig:
         if needs_w:
             if self.w is None:
                 raise InputError("exponential family requires w")
-            if not self.w > 1:
-                raise InputError(f"w must exceed 1, got {self.w}")
+            if not 1 < self.w < math.inf:
+                raise InputError(f"w must be finite and exceed 1, got {self.w}")
 
 
 def _exponential_ratio(s: int, n: int, w: float) -> float:

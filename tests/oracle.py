@@ -2,10 +2,14 @@
 
 Everything here works on explicit frozensets and quantifier loops, straight
 from the textual definitions, deliberately sharing no code with the package's
-bitmask enumeration.
+bitmask enumeration. The one exception is ``loop_extension_matrix``, a batched
+numpy reference with one pass per argument, which still shares no code with
+the package's O(2^n) kernel.
 """
 
 from itertools import chain, combinations
+
+import numpy as np
 
 
 def all_subsets(n):
@@ -108,3 +112,45 @@ def maximal_conflict_free_sets(n, attacks):
 
     expand(set(), set(range(n)), set())
     return found
+
+
+def loop_extension_matrix(att_from, semantics):
+    """Bool [B, 2^n] extension indicator of B frameworks, given as attack
+    masks per argument (``att_from[b, a]``: whom a attacks, [B, n]), by one
+    pass per argument over all 2^n subset masks for the attacked and the
+    defended sets, and one per argument for the preferred superset check."""
+    att_from = np.asarray(att_from, dtype=np.uint16)
+    batch, n = att_from.shape
+    att_to = np.zeros_like(att_from)  # att_to[b, a]: who attacks a
+    for a in range(n):
+        for x in range(n):
+            att_to[:, x] |= (att_from[:, a] >> x & 1) << a
+    subsets = np.arange(1 << n, dtype=np.uint16)
+    members = -((subsets >> np.arange(n, dtype=np.uint16)[:, None]) & 1)
+    full = (1 << n) - 1
+    attacked = np.zeros((batch, 1 << n), dtype=np.uint16)
+    for a in range(n):
+        attacked |= members[a] & att_from[:, a, None]
+    cf = (attacked & subsets) == 0
+    if semantics == "stable":
+        return cf & (attacked == (subsets ^ full))
+    unattacked, defended = ~attacked, np.zeros_like(attacked)
+    for a in range(n):
+        defended |= ((att_to[:, a, None] & unattacked) == 0).astype(np.uint16) << a
+    complete = cf & (defended == subsets)
+    if semantics == "complete":
+        return complete
+    if semantics == "grounded":
+        least = np.bitwise_and.reduce(np.where(complete, subsets, full), axis=1)
+        return subsets == least[:, None]
+    if semantics != "preferred":
+        raise ValueError(semantics)
+    adm = cf & ((subsets & defended) == subsets)
+    # larger[s]: some admissible strict superset of s differs from s only in
+    # the bits passed so far; pass a adds the supersets through s | bit a
+    larger = np.zeros_like(adm)
+    for a in range(n):
+        shape = (batch, 1 << (n - a - 1), 2, 1 << a)  # [.., bit a clear/set, ..]
+        pairs = larger.reshape(shape)
+        pairs[:, :, 0] |= adm.reshape(shape)[:, :, 1] | pairs[:, :, 1]
+    return adm & ~larger

@@ -22,6 +22,7 @@ from oracle import (
     all_directed_relations,
     all_symmetric_relations,
     brute_extensions,
+    loop_extension_matrix,
     maximal_conflict_free_sets,
     to_mask,
 )
@@ -77,12 +78,10 @@ def batches(draw):
 
 def attack_columns(n, batch):
     att_from = np.zeros((len(batch), n), dtype=np.int64)
-    att_to = np.zeros_like(att_from)
     for row, pairs in enumerate(batch):
         for a, b in pairs:
             att_from[row, a] |= 1 << b
-            att_to[row, b] |= 1 << a
-    return att_from, att_to
+    return att_from
 
 
 # the 3-cycle and the self-attacker have no stable extension
@@ -92,9 +91,9 @@ def attack_columns(n, batch):
 @example((0, [[]]))
 def test_batched_kernel_matches_single_kernel_and_oracle(batch):
     n, frameworks = batch
-    att_from, att_to = attack_columns(n, frameworks)
+    att_from = attack_columns(n, frameworks)
     for semantics in SEMANTICS:
-        matrix = extension_matrix(att_from, att_to, semantics)
+        matrix = extension_matrix(att_from, semantics)
         assert matrix.shape == (len(frameworks), 1 << n)
         for row, pairs in zip(matrix, frameworks):
             got = tuple(np.flatnonzero(row).tolist())
@@ -105,16 +104,51 @@ def test_batched_kernel_matches_single_kernel_and_oracle(batch):
 
 def test_batched_kernel_at_the_enumeration_cap():
     full = (1 << 16) - 1
-    att_from, att_to = attack_columns(16, [[], MUTUAL])
-    preferred = extension_matrix(att_from, att_to, "preferred")
+    att_from = attack_columns(16, [[], MUTUAL])
+    preferred = extension_matrix(att_from, "preferred")
     assert np.flatnonzero(preferred[0]).tolist() == [full]
     assert np.flatnonzero(preferred[1]).tolist() == [full ^ 0b10, full ^ 0b01]
-    grounded = extension_matrix(att_from, att_to, "grounded")
+    grounded = extension_matrix(att_from, "grounded")
     assert np.flatnonzero(grounded[1]).tolist() == [full ^ 0b11]
     with pytest.raises(CapacityError):
-        extension_matrix(*attack_columns(17, [[]]), "complete")
+        extension_matrix(attack_columns(17, [[]]), "complete")
     with pytest.raises(InputError):
-        extension_matrix(att_from, att_to, "ideal")
+        extension_matrix(att_from, "ideal")
+
+
+def random_columns(n, frameworks):
+    """att_from [B, n] of seeded random relations, one per (symmetric,
+    density, seed): symmetric and irreflexive, or directed with self-loops."""
+    att_from = np.zeros((len(frameworks), n), dtype=np.int64)
+    for row, (symmetric, density, seed) in enumerate(frameworks):
+        rel = np.random.default_rng(seed).random((n, n)) < density
+        if symmetric:
+            rel = np.triu(rel, 1)
+            rel |= rel.T
+        att_from[row] = (rel.astype(np.int64) << np.arange(n)).sum(axis=1)
+    return att_from
+
+
+@st.composite
+def random_batches(draw):
+    n = draw(st.one_of(st.integers(0, 12), st.integers(6, 12)))
+    framework = st.tuples(st.booleans(), st.floats(0, 0.5), st.integers(0, 2**32 - 1))
+    return n, draw(st.lists(framework, min_size=1, max_size=8))
+
+
+# 64 subsets fill one packed word at n = 6; from n = 7 on, preferred also
+# pairs words, and at the cap every pass runs
+@settings(max_examples=200, deadline=None)
+@given(random_batches())
+@example((6, [(False, 0.1, 1), (True, 0.2, 2), (False, 0.0, 3)]))
+@example((7, [(True, 0.1, 4), (False, 0.05, 5), (False, 0.3, 6)]))
+@example((16, [(True, 0.05, 7), (False, 0.02, 8)]))
+def test_batched_kernel_matches_the_per_argument_loop(batch):
+    att_from = random_columns(*batch)
+    for semantics in SEMANTICS:
+        expected = loop_extension_matrix(att_from, semantics)
+        got = extension_matrix(att_from, semantics)
+        assert got.dtype == bool and np.array_equal(got, expected), semantics
 
 
 FULL16 = (1 << 16) - 1

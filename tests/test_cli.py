@@ -129,6 +129,16 @@ class TestGibbs:
         assert (out1 / "histogram.csv").read_text() != (out2 / "histogram.csv").read_text()
 
 
+    def test_infinite_w_is_a_config_error(self, votes3, tmp_path, capsys):
+        base = ["gibbs", "--votes", votes3, "--mode", "symmetric",
+                "--iterations", "20", "--burn-in", "0", "--out-dir", str(tmp_path / "o")]
+        assert run(base + ["--w", "inf"]) == 2
+        assert "w must be finite" in capsys.readouterr().err
+        cfg = write(tmp_path, "c.cfg", "family = exponential\nw = inf")
+        assert run(base + ["--config", cfg]) == 2
+        assert "w must be finite" in capsys.readouterr().err
+
+
 class TestPredict:
     def test_scores_against_saved_posterior(self, votes3, tmp_path, capsys):
         out = tmp_path / "out"

@@ -1,10 +1,15 @@
+import itertools
+
+import numpy as np
 import pytest
 
 from argbayes import gibbs
+from argbayes.af import SEMANTICS
 from argbayes.errors import DegenerateEvidenceError, InputError
 from argbayes.gibbs import GibbsConfig, convergence_trace, gibbs_conditional, run_gibbs
+from argbayes.harness import sample_observations
 from argbayes.inference import AttackVariableSpace, Observation, exact_posterior
-from argbayes.model import ModelConfig
+from argbayes.model import FAMILIES, ModelConfig
 
 CFG = ModelConfig(semantics="complete", family="exponential", w=2.0)
 
@@ -23,6 +28,52 @@ def total_variation(p, q_entries):
     keys = set(p.entries) | set(q_entries)
     return 0.5 * sum(abs(p.entries.get(k, 0.0) - q_entries.get(k, 0.0))
                      for k in keys)
+
+
+def flip_component(entries, state):
+    """Assignments of positive mass that single-bit flips through positive
+    mass reach from ``state``."""
+    part, stack = {state}, [state]
+    while stack:
+        att = stack.pop()
+        for i in range(len(att)):
+            other = att[:i] + (1 - att[i],) + att[i + 1:]
+            if entries.get(other, 0.0) > 0 and other not in part:
+                part.add(other)
+                stack.append(other)
+    return part
+
+
+RANDOM_CASES = list(itertools.product(("directed", "symmetric"), SEMANTICS, FAMILIES))
+
+
+@pytest.mark.parametrize("case", RANDOM_CASES, ids="-".join)
+def test_matches_exact_posterior_on_random_spaces(case):
+    """A seeded random space with at most 6 free variables (directed ones
+    may hold self-loops), random priors and clamps, and 3 observations drawn
+    from a random truth. A single-site chain cannot cross between parts of
+    the posterior's support that no single flip joins (a zero likelihood
+    factor can split it), so its histogram is compared with the posterior
+    restricted to the part it is in: on a connected support, the whole."""
+    mode, semantics, family = case
+    rng = np.random.default_rng(RANDOM_CASES.index(case))
+    n = int(rng.integers(2, 4)) if mode == "directed" else int(rng.integers(3, 5))
+    loops = mode == "directed" and bool(rng.integers(2))
+    m = len(AttackVariableSpace.create(n, mode, include_self_loops=loops).variables)
+    clamped = rng.permutation(m)[:max(0, m - 6) + int(rng.integers(0, 2))]
+    clamps = {int(i): int(rng.integers(2)) for i in clamped}
+    space = AttackVariableSpace.create(n, mode, priors=rng.uniform(0.2, 0.8, m).tolist(),
+                                       clamps=clamps, include_self_loops=loops)
+    truth = tuple(clamps.get(i, int(rng.integers(2))) for i in range(m))
+    cfg = ModelConfig(semantics=semantics, family=family, w=3.0)
+    obs = sample_observations(truth, space, cfg, 3, rng)
+    exact = exact_posterior(obs, space, cfg)
+    hist = run_gibbs(obs, space, cfg, GibbsConfig(4000, 400, seed=RANDOM_CASES.index(case)))
+    part = flip_component(exact.entries, next(iter(hist.counts)))
+    assert set(hist.counts) <= part
+    mass = sum(exact.entries[att] for att in part)
+    target = {att: exact.entries[att] / mass for att in part}
+    assert total_variation(hist.to_posterior(), target) <= 0.1
 
 
 class TestGibbsConfig:

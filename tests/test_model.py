@@ -81,6 +81,13 @@ class TestModelConfig:
         with pytest.raises(InputError):
             ModelConfig(family="exponential", w=1.0)
 
+    @pytest.mark.parametrize("family,prediction_family",
+                             [("exponential", "linear"), ("linear", "exponential")])
+    def test_w_must_be_finite(self, family, prediction_family):
+        # at w = inf, theta would be nan at distance 0
+        with pytest.raises(InputError, match="w"):
+            ModelConfig(family=family, w=math.inf, prediction_family=prediction_family)
+
     def test_w_required_for_exponential(self):
         with pytest.raises(InputError):
             ModelConfig(family="exponential", w=None)
