@@ -4,11 +4,11 @@ Each sweep resamples every free variable in lexicographic order from its full
 conditional (prior factor times the likelihood of all observations, with all
 other bits at their freshest values). The chain starts from a uniform draw
 of the free bits, or, when that has zero mass, from a prior draw of finite
-mass (``_start``). The current state's likelihood terms are reused from the
-previous update, so each update scores one new framework. One assignment is
-recorded per sweep; samples after the burn-in form the histogram. Seeding
-uses numpy SeedSequence, with per-chain substreams so multi-chain runs stay
-reproducible.
+mass (``_start``). A sweep runs in windows of L free variables: the 2^L - 1
+states a window's updates can reach are scored in one batch before them. One
+assignment is recorded per sweep; samples after the burn-in form the
+histogram. Seeding uses numpy SeedSequence, with per-chain substreams so
+multi-chain runs stay reproducible.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .inference import (
     Observation,
     PosteriorDistribution,
     acceptability_likelihood,
+    likelihood_terms,
 )
 
 
@@ -134,6 +135,12 @@ def _start(obs, space, cfg, rng) -> tuple[Assignment, list[float]]:
     return first
 
 
+def _window_depth(n: int) -> int:
+    """Free variables per window at n arguments: the L of least measured
+    kernel cost per update, cost(B = 2^L - 1) / L (BENCH_13.json)."""
+    return 3 if n <= 11 else 1
+
+
 def _run_chain(obs, space, cfg, iterations, burn_in, rng):
     free = space.free_indices
     state, terms = _start(obs, space, cfg, rng)
@@ -141,15 +148,25 @@ def _run_chain(obs, space, cfg, iterations, burn_in, rng):
     counts: dict[Assignment, int] = {}
     seen: set[Assignment] = set()
     new_flags: list[int] = []
-    # the drawn state is always one of the two just scored, so a one-entry
-    # memo hands its terms to the next update
     memo = {state: terms}
+    depth = _window_depth(space.n_args)
+    windows = [free[lo:lo + depth] for lo in range(0, len(free), depth)]
     for it in range(1, iterations + 1):
-        for m in free:
-            _, p1 = gibbs_conditional(m, state, obs, space, cfg, memo)
-            bit = 1 if rng.random() < p1 else 0
-            state = state[:m] + (bit,) + state[m + 1:]
-            memo = {state: memo[state]}
+        for window in windows:
+            if len(memo) >= 1 << 12:  # bounds the terms one chain keeps
+                memo = {state: memo[state]}
+            # the states the window's updates can reach: state ^ X, X a subset
+            reach = {state}
+            for m in window:
+                reach |= {s[:m] + (1 - s[m],) + s[m + 1:] for s in reach}
+            new = [s for s in reach if s not in memo]
+            if new:
+                scored = likelihood_terms(obs, np.array(new, dtype=np.uint8), space, cfg)
+                memo.update(zip(new, scored.tolist()))
+            for m in window:
+                _, p1 = gibbs_conditional(m, state, obs, space, cfg, memo)
+                bit = 1 if rng.random() < p1 else 0
+                state = state[:m] + (bit,) + state[m + 1:]
         if state in seen:
             new_flags.append(0)
         else:

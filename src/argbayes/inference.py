@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -132,6 +133,18 @@ class AttackVariableSpace:
             pairs += [(b, a) for a, b in pairs]
         return tuple(sorted(pairs))
 
+    @cached_property
+    def attack_weights(self) -> np.ndarray:
+        """Read-only int64 [m, n] whose row i holds the attack-mask bits that
+        variable i sets: bit rows ``@`` it are their frameworks' attack masks."""
+        weights = np.zeros((len(self.variables), self.n_args), dtype=np.int64)
+        for i, (a, b) in enumerate(self.variables):
+            weights[i, a] |= 1 << b
+            if self.mode == "symmetric":
+                weights[i, b] |= 1 << a
+        weights.flags.writeable = False
+        return weights
+
     def assignment_bits(self) -> np.ndarray:
         """``assignments()`` as rows of a uint8 array."""
         free = self.free_indices
@@ -189,29 +202,30 @@ def theta(d: int, att: Assignment, space: AttackVariableSpace,
                                    cfg.semantics, fam, w)
 
 
+def likelihood_terms(obs: list[Observation], bits: np.ndarray,
+                     space: AttackVariableSpace, cfg: model.ModelConfig) -> np.ndarray:
+    """``weight * log p(label | subset)`` of each observation [S] under the
+    framework of each bit row [B, m], as [B, S], from one kernel call per
+    chunk of rows, not cut at a zero factor (-inf). No observations means no
+    enumeration; a subset mask outside [0, 2^n) raises InputError."""
+    if not obs:
+        return np.zeros((len(bits), 0))
+    n = space.n_args
+    subsets, labels, weights = np.array([(o.subset, o.label, o.weight) for o in obs]).T
+    if (subsets >> n).any():
+        raise InputError(f"subset mask outside the {n}-argument space")
+    w = cfg.w if cfg.family == "exponential" else None
+    dist = _tables(bits, space, cfg.semantics, subsets)
+    return weights * model.log_likelihood_table(n, cfg.family, w)[labels, dist]
+
+
 def acceptability_likelihood(obs: list[Observation], att: Assignment,
                              space: AttackVariableSpace,
                              cfg: model.ModelConfig) -> list[float]:
-    """``weight * log p(label | subset)`` per observation under the framework
-    of ``att``, in observation order, scored in one vectorised step. The list
-    stops at the first zero factor, whose term is -inf. No observations means
-    no enumeration; a subset mask outside [0, 2^n) raises InputError."""
-    if not obs:
-        return []
+    """``likelihood_terms`` of one assignment, as a list cut after a zero factor."""
     space.check(att)
-    n = space.n_args
-    subsets = np.fromiter((o.subset for o in obs), np.int64, len(obs))
-    if subsets.min() < 0 or subsets.max() >= 1 << n:
-        raise InputError(f"subset mask outside the {n}-argument space")
-    dist = model._agreement_stats(n, space.attacks_of(att), cfg.semantics)
-    w = cfg.w if cfg.family == "exponential" else None
-    labels = np.fromiter((o.label for o in obs), np.intp, len(obs))
-    weights = np.fromiter((o.weight for o in obs), np.int64, len(obs))
-    terms = weights * model.log_likelihood_table(n, cfg.family, w)[labels, dist[subsets]]
-    zero = np.flatnonzero(terms == -np.inf)
-    if zero.size:
-        terms = terms[:zero[0] + 1]
-    return terms.tolist()
+    terms = likelihood_terms(obs, np.array([att], dtype=np.uint8), space, cfg)[0].tolist()
+    return terms[:terms.index(-math.inf) + 1] if -math.inf in terms else terms
 
 
 def attack_prior_log(att: Assignment, space: AttackVariableSpace) -> float:
@@ -243,7 +257,7 @@ def _log_normalize(keys: list[Assignment],
             "all assignments have zero posterior mass; the observations "
             "contradict every attack relation under the deterministic family")
     unnorm = [math.exp(v) for v in (log_masses - finite.max()).tolist()]
-    z = sum(unnorm)
+    z = _ordered_sum(unnorm)
     return dict(zip(keys, (np.array(unnorm) / z).tolist()))
 
 
@@ -255,18 +269,27 @@ def _check_cap(space: AttackVariableSpace, cap: int) -> None:
 
 
 def _tables(bits: np.ndarray, space: AttackVariableSpace, semantics: str,
-            subsets: list[int] | None = None) -> np.ndarray:
+            subsets: np.ndarray | list[int] | None = None) -> np.ndarray:
     """Distance tables (or their ``subsets`` columns) of the frameworks of
-    bit rows, through the batched kernel a chunk of rows at a time."""
-    step, chunks = max(1, _CHUNK_ENTRIES >> space.n_args), []
+    bit rows, through the batched kernel a chunk of rows at a time; n + 1
+    marks no extension. S subsets take the least popcount against a chunk's
+    E extensions, unless its whole tables cost less (B x n x 2^n < S x E)."""
+    n, chunks = space.n_args, []
+    step = max(1, _CHUNK_ENTRIES >> n)
     for lo in range(0, max(len(bits), 1), step):
-        chunk = bits[lo:lo + step].astype(np.int64)
-        att_from = np.zeros((len(chunk), space.n_args), dtype=np.int64)
-        for i, (a, b) in enumerate(space.variables):
-            for x, y in ((a, b), (b, a)) if space.mode == "symmetric" else ((a, b),):
-                att_from[:, x] |= chunk[:, i] << y
-        is_ext = af.extension_matrix(att_from, semantics)
-        dist = np.full(is_ext.shape[::-1], space.n_args + 1, dtype=np.int8)
+        is_ext = af.extension_matrix(bits[lo:lo + step] @ space.attack_weights, semantics)
+        if subsets is not None:
+            flat = np.flatnonzero(is_ext)
+            if len(subsets) * len(flat) <= is_ext.size * n:
+                # row r's extensions are flat[bounds[r]:bounds[r + 1]]
+                bounds = np.searchsorted(flat, np.arange(len(is_ext) + 1) << n)
+                has = bounds[:-1] < bounds[1:]
+                pop = np.bitwise_count(np.asarray(subsets)[:, None] ^ (flat & ((1 << n) - 1)))
+                dist = np.full((len(is_ext), len(subsets)), n + 1, dtype=np.int8)
+                dist[has] = np.minimum.reduceat(pop, bounds[:-1][has], axis=1).T
+                chunks.append(dist)
+                continue
+        dist = np.full(is_ext.shape[::-1], n + 1, dtype=np.int8)
         dist[is_ext.T] = 0
         dist = model.distance_to_extension(dist).T
         chunks.append(dist if subsets is None else dist[:, subsets])

@@ -75,8 +75,19 @@ def ref_normalize(log_masses):
     mx = max(finite)
     unnorm = {k: (math.exp(v - mx) if v > -math.inf else 0.0)
               for k, v in log_masses.items()}
-    z = sum(unnorm.values())
+    z = 0.0
+    for v in unnorm.values():
+        z += v
     return {k: v / z for k, v in unnorm.items()}
+
+
+def test_normaliser_adds_left_to_right():
+    # a compensated sum (the builtin from Python 3.12 on) gives 1 + 1e-15
+    # here, where adding left to right leaves 1.0
+    unnorm = [1.0] + [1e-16] * 10
+    assert math.fsum(unnorm) != 1.0
+    post = inference._log_normalize(list(range(11)), np.log(unnorm))
+    assert post[0] == 1.0 / inference._ordered_sum(unnorm) == 1.0
 
 
 def ref_argmax_set(scores):

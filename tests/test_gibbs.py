@@ -177,22 +177,56 @@ class TestRunGibbs:
                          GibbsConfig(50_000, 5_000, seed=21))
         assert total_variation(exact, hist.to_posterior().entries) <= 0.05
 
-    def test_one_framework_scored_per_update(self, monkeypatch):
-        calls = []
-        score = gibbs.acceptability_likelihood
+    def test_each_window_is_scored_in_one_call(self, monkeypatch):
+        # events in chain order: ("score", rows) per scorer call, ("update", m)
+        # per conditional; a start scored through acceptability_likelihood
+        events, starts = [], []
+        score, start, conditional = (gibbs.likelihood_terms,
+                                     gibbs.acceptability_likelihood,
+                                     gibbs.gibbs_conditional)
 
-        def counting(*args):
-            calls.append(args)
-            return score(*args)
+        def counting_score(obs, bits, *rest):
+            events.append(("score", len(bits)))
+            return score(obs, bits, *rest)
 
-        monkeypatch.setattr(gibbs, "acceptability_likelihood", counting)
-        space = AttackVariableSpace.create(4, mode="symmetric", priors=0.4)
+        def counting_start(*args):
+            starts.append(args)
+            return start(*args)
+
+        def counting_conditional(m, *rest):
+            events.append(("update", m))
+            return conditional(m, *rest)
+
+        monkeypatch.setattr(gibbs, "likelihood_terms", counting_score)
+        monkeypatch.setattr(gibbs, "acceptability_likelihood", counting_start)
+        monkeypatch.setattr(gibbs, "gibbs_conditional", counting_conditional)
+        # 5 free variables: one window of 3, then a partial window of 2
+        space = AttackVariableSpace.create(4, mode="symmetric", priors=0.4,
+                                           clamps={2: 1})
         obs = [Observation(1, 1, 2), Observation(6, 1), Observation(9, 0)]
         g = GibbsConfig(30, 5, seed=4)
         run_gibbs(obs, space, CFG, g)
-        updates = g.iterations * len(space.free_indices)
-        # the start is scored once, then one new state per update
-        assert len(calls) == updates + 1
+        free, depth = space.free_indices, gibbs._window_depth(space.n_args)
+        windows = [free[lo:lo + depth] for lo in range(0, len(free), depth)]
+        assert (len(free), depth, len(windows)) == (5, 3, 2)
+        assert len(starts) == 1
+        updates = [m for kind, m in events if kind == "update"]
+        assert updates == free * g.iterations
+        sweeps, calls = [], 0
+        for kind, value in events:
+            if kind == "score":
+                assert 1 <= value <= 2 ** depth - 1
+                calls += 1
+            elif value == free[-1]:
+                sweeps.append(calls)
+                calls = 0
+        assert len(sweeps) == g.iterations
+        assert max(sweeps) <= len(windows)
+        # a window is scored only before its first variable is updated
+        for before, after in zip(events, events[1:]):
+            if before[0] == "score":
+                assert after[0] == "update"
+                assert after[1] in {w[0] for w in windows}
 
     @pytest.mark.parametrize("seed", range(5))
     def test_zero_mass_start_is_redrawn(self, seed):
