@@ -66,7 +66,7 @@ class SampleHistogram:
     def to_posterior(self) -> PosteriorDistribution:
         total = self.total
         entries = {att: c / total for att, c in self.counts.items()}
-        return PosteriorDistribution(entries=entries, kind="sampled")
+        return PosteriorDistribution.from_entries(entries, kind="sampled")
 
 
 def gibbs_conditional(m: int, current: Assignment, obs: list[Observation],

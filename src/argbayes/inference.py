@@ -13,8 +13,9 @@ Exact inference scores all 2^k assignments in one array pass: bit rows
 become attack masks, and the batched kernel gives each framework's distance
 table. Reductions over the log-prior and log-likelihood vectors keep the
 scalar steps of a per-assignment loop, so results are bit-identical to one.
-A posterior keeps its entries' tables per (space, semantics) when they fit
-in 64 MB, so repeated predictions are column gathers.
+A posterior is bit rows and a probability vector; ``entries`` is a view of
+them built on first read. It keeps its rows' tables per (space, semantics)
+when they fit in 64 MB, so repeated predictions are column gathers.
 """
 
 from __future__ import annotations
@@ -113,17 +114,20 @@ class AttackVariableSpace:
         clamped = {i for i, _ in self.clamps}
         return [i for i in range(len(self.variables)) if i not in clamped]
 
-    def check(self, att: Assignment) -> None:
-        if len(att) != len(self.variables):
+    def check(self, att: Assignment | np.ndarray) -> np.ndarray:
+        """The assignment (or array of bit rows) as rows; InputError unless
+        each has one 0/1 bit per variable and keeps the clamps."""
+        rows = np.atleast_2d(att)
+        if rows.shape[1] != len(self.variables):
             raise InputError(
-                f"assignment length {len(att)} != variable count {len(self.variables)}")
-        for b in att:
-            if b not in (0, 1):
-                raise InputError(f"assignment bits must be 0 or 1, got {b}")
+                f"assignment length {rows.shape[1]} != variable count {len(self.variables)}")
+        if (bad := rows[(rows != 0) & (rows != 1)]).size:
+            raise InputError(f"assignment bits must be 0 or 1, got {bad[0]}")
         for idx, bit in self.clamps:
-            if att[idx] != bit:
+            if (rows[:, idx] != bit).any():
                 raise InputError(
                     f"assignment violates clamp on variable {idx} (must be {bit})")
+        return rows
 
     def attacks_of(self, att: Assignment) -> tuple[tuple[int, int], ...]:
         """Directed attack pairs realized by an assignment (symmetric pairs expand
@@ -168,24 +172,42 @@ class AttackVariableSpace:
         return tuple(int(p in attacks) for p in self.variables)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PosteriorDistribution:
-    """Probability per assignment; ``kind`` distinguishes exact enumeration
-    from a Gibbs sample histogram."""
+    """Read-only probability ``probs[i]`` (float64 [N]) of bit row ``bits[i]``
+    (uint8 [N, m]); ``kind`` tells exact enumeration from a Gibbs histogram."""
 
-    entries: dict[Assignment, float] = field(default_factory=dict)
+    bits: np.ndarray
+    probs: np.ndarray
     kind: str = "exact"
-    # (space, semantics) -> distance tables of the entries' frameworks, one
-    # row per entry in entry order
-    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # (space, semantics) -> distance tables of the rows' frameworks
+    _tables: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        for p in self.entries.values():
-            if p < 0:
-                raise InputError("posterior probabilities must be nonnegative")
-        total = sum(self.entries.values())
-        if self.entries and abs(total - 1.0) > 1e-9:
-            raise InputError(f"posterior mass sums to {total}, not 1")
+        if self.bits.ndim != 2 or len(self.bits) != len(self.probs):
+            raise InputError("a posterior needs one bit row per probability")
+        if not (np.isfinite(self.probs) & (self.probs >= 0)).all():
+            raise InputError("posterior probabilities must be finite and nonnegative")
+        if abs(self.probs.sum() - 1.0) > 1e-9:
+            raise InputError(f"posterior mass sums to {self.probs.sum()}, not 1")
+        self.bits.flags.writeable = self.probs.flags.writeable = False
+
+    @classmethod
+    def from_entries(cls, entries: dict[Assignment, float],
+                     kind: str = "exact") -> "PosteriorDistribution":
+        """Posterior of an assignment -> probability mapping, rows in its order."""
+        widths = {len(att) for att in entries} or {0}
+        if len(widths) > 1:
+            raise InputError(f"assignment length differs between keys: {sorted(widths)}")
+        bits = np.array(list(entries), dtype=np.int64).reshape(len(entries), *widths)
+        if ((bits != 0) & (bits != 1)).any():
+            raise InputError("assignment bits must be 0 or 1")
+        return cls(bits.astype(np.uint8), np.fromiter(entries.values(), float), kind)
+
+    @cached_property
+    def entries(self) -> dict[Assignment, float]:
+        """Probability per assignment, in row order."""
+        return dict(zip(map(tuple, self.bits.tolist()), self.probs.tolist()))
 
     def prob(self, att: Assignment) -> float:
         return self.entries.get(att, 0.0)
@@ -223,15 +245,13 @@ def acceptability_likelihood(obs: list[Observation], att: Assignment,
                              space: AttackVariableSpace,
                              cfg: model.ModelConfig) -> list[float]:
     """``likelihood_terms`` of one assignment, as a list cut after a zero factor."""
-    space.check(att)
-    terms = likelihood_terms(obs, np.array([att], dtype=np.uint8), space, cfg)[0].tolist()
+    terms = likelihood_terms(obs, space.check(att), space, cfg)[0].tolist()
     return terms[:terms.index(-math.inf) + 1] if -math.inf in terms else terms
 
 
 def attack_prior_log(att: Assignment, space: AttackVariableSpace) -> float:
     """Log prior: product of Bernoulli(lambda_m) factors over unclamped variables."""
-    space.check(att)
-    return float(_log_prior(np.array([att], dtype=np.uint8), space)[0])
+    return float(_log_prior(space.check(att), space)[0])
 
 
 def joint_log_likelihood(obs: list[Observation], att: Assignment,
@@ -241,31 +261,23 @@ def joint_log_likelihood(obs: list[Observation], att: Assignment,
 
 
 def _ordered_sum(terms) -> float:
-    """Left-to-right float sum. np.sum adds pairwise and the builtin sum
-    compensates (Python 3.12), either of which can move the last bit."""
-    total = 0.0
-    for t in terms:
-        total += t
-    return total
+    """Left-to-right float sum from 0.0, as ``accumulate`` adds. np.sum adds
+    pairwise and the builtin sum compensates (Python 3.12): either can move
+    the last bit."""
+    return float(np.add.accumulate(np.append(0.0, terms))[-1])
 
 
-def _log_normalize(keys: list[Assignment],
-                   log_masses: np.ndarray) -> dict[Assignment, float]:
+def _log_normalize(rows, log_masses: np.ndarray) -> np.ndarray:
+    """Probability of each of ``rows`` from its log mass, through math.exp
+    (np.exp can differ from it in the last bit)."""
     finite = log_masses[log_masses > -math.inf]
     if not finite.size:
         raise DegenerateEvidenceError(
             "all assignments have zero posterior mass; the observations "
             "contradict every attack relation under the deterministic family")
-    unnorm = [math.exp(v) for v in (log_masses - finite.max()).tolist()]
-    z = _ordered_sum(unnorm)
-    return dict(zip(keys, (np.array(unnorm) / z).tolist()))
-
-
-def _check_cap(space: AttackVariableSpace, cap: int) -> None:
-    k = len(space.free_indices)
-    if k > cap:
-        raise CapacityError(
-            f"{k} free attack variables exceed the exact-inference cap of {cap}")
+    unnorm = np.fromiter(map(math.exp, memoryview(log_masses - finite.max())),
+                         float, len(rows))
+    return unnorm / _ordered_sum(unnorm)
 
 
 def _tables(bits: np.ndarray, space: AttackVariableSpace, semantics: str,
@@ -312,13 +324,6 @@ def _columns(memo: dict, space: AttackVariableSpace, semantics: str,
     return memo[key][:, subsets]
 
 
-def _key_bits(post: PosteriorDistribution, space: AttackVariableSpace) -> np.ndarray:
-    for att in post.entries:
-        space.check(att)
-    return np.array(list(post.entries), dtype=np.uint8).reshape(
-        len(post.entries), len(space.variables))
-
-
 def _log_prior(bits: np.ndarray, space: AttackVariableSpace) -> np.ndarray:
     """Log prior of every bit row, adding factors in variable order."""
     lp = np.zeros(len(bits))
@@ -345,7 +350,9 @@ def _exact_scores(obs: list[Observation], space: AttackVariableSpace,
                   cfg: model.ModelConfig, cap: int):
     """Bit rows of all assignments, their log prior and log likelihood, and a
     memo of their tables. No observations means no enumeration."""
-    _check_cap(space, cap)
+    if (k := len(space.free_indices)) > cap:
+        raise CapacityError(
+            f"{k} free attack variables exceed the exact-inference cap of {cap}")
     bits = space.assignment_bits()
     ll, memo = np.zeros(len(bits)), {}
     if obs:
@@ -367,10 +374,7 @@ def exact_posterior(obs: list[Observation], space: AttackVariableSpace,
                     cfg: model.ModelConfig, cap: int = EXACT_CAP) -> PosteriorDistribution:
     """Normalized posterior over all assignments consistent with the clamps."""
     bits, prior, ll, memo = _exact_scores(obs, space, cfg, cap)
-    keys = list(map(tuple, bits.tolist()))
-    post = PosteriorDistribution(_log_normalize(keys, prior + ll), kind="exact")
-    post._tables.update(memo)
-    return post
+    return PosteriorDistribution(bits, _log_normalize(bits, prior + ll), "exact", memo)
 
 
 def sequential_update(post: PosteriorDistribution, new_obs: Observation,
@@ -381,13 +385,13 @@ def sequential_update(post: PosteriorDistribution, new_obs: Observation,
     if post.kind != "exact":
         raise InputError("sequential update requires an exact posterior")
     dist = _columns(post._tables, space, cfg.semantics, [new_obs.subset],
-                    lambda: _key_bits(post, space))
-    log_p = np.array([math.log(p) if p else -math.inf for p in post.entries.values()])
+                    lambda: space.check(post.bits))
+    p = post.probs
+    log_p = np.full(len(p), -math.inf)
+    log_p[p > 0] = np.fromiter(map(math.log, memoryview(p[p > 0])), float)
     log_masses = log_p + _log_likelihood([new_obs], dist, space, cfg)
-    updated = PosteriorDistribution(_log_normalize(list(post.entries), log_masses),
-                                    kind="exact")
-    updated._tables.update(post._tables)
-    return updated
+    return PosteriorDistribution(post.bits, _log_normalize(post.bits, log_masses),
+                                 "exact", dict(post._tables))
 
 
 def _argmax_set(bits: np.ndarray, scores: np.ndarray) -> list[Assignment]:
@@ -414,11 +418,8 @@ def evidence(e: int, space: AttackVariableSpace, cfg: model.ModelConfig,
     """Marginal probability that subset e is labelled acceptable, averaging
     the likelihood over the attack prior."""
     bits, log_prior, _, _ = _exact_scores([], space, cfg, cap)
-    prior = np.array([math.exp(lp) for lp in log_prior.tolist()])
-    dist = _columns({}, space, cfg.semantics, [e], lambda: bits)[:, 0]
-    w = cfg.w if cfg.family == "exponential" else None
-    terms = prior * model.theta_table(space.n_args, cfg.family, w)[dist]
-    return _ordered_sum(terms[prior != 0].tolist())
+    prior = np.fromiter(map(math.exp, memoryview(log_prior)), float, len(bits))
+    return posterior_predictive(e, PosteriorDistribution(bits, prior), space, cfg, cfg.family)
 
 
 def subset_thetas(att: Assignment, space: AttackVariableSpace,
@@ -448,7 +449,6 @@ def posterior_predictive(e: int, post: PosteriorDistribution,
     fam = family or cfg.prediction_family
     w = cfg.w if fam == "exponential" else None
     dist = _columns(post._tables, space, cfg.semantics, [e],
-                    lambda: _key_bits(post, space))[:, 0]
-    p = np.fromiter(post.entries.values(), float, len(post.entries))
-    terms = p * model.theta_table(space.n_args, fam, w)[dist]
-    return _ordered_sum(terms[p != 0].tolist())
+                    lambda: space.check(post.bits))[:, 0]
+    terms = post.probs * model.theta_table(space.n_args, fam, w)[dist]
+    return _ordered_sum(terms[post.probs != 0])

@@ -193,8 +193,16 @@ def load_posterior(path: str | Path, kind: str = "exact") -> PosteriorDistributi
     for r, row in enumerate(rows[1:], start=2):
         if len(row) != 2 or not all(ch in "01" for ch in row[0]):
             raise ParseError(f"{path}:{r}: malformed posterior row")
-        entries[tuple(int(ch) for ch in row[0])] = float(row[1])
-    return PosteriorDistribution(entries=entries, kind=kind)
+        att = tuple(int(ch) for ch in row[0])
+        if att in entries:
+            raise ParseError(f"{path}:{r}: assignment {row[0]} repeats an earlier row")
+        try:
+            entries[att] = float(row[1])
+        except ValueError:
+            raise ParseError(f"{path}:{r}: probability {row[1]!r} is not a number") from None
+    if not entries:
+        raise SchemaError(f"{path}: no assignments")
+    return PosteriorDistribution.from_entries(entries, kind)
 
 
 def save_table(path: str | Path, header: list[str], rows: list[list]) -> None:

@@ -164,6 +164,19 @@ class TestPredict:
         assert code == 2
         assert "length" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rows", [
+        "000,abc\n",                      # not a number
+        "000,nan\n111,1.0\n",             # not finite
+        "000,0.5\n000,0.5\n111,0.5\n",    # repeated assignment
+        "",                               # no assignments
+    ])
+    def test_bad_posterior_file_exit_code(self, votes3, tmp_path, capsys, rows):
+        post = write(tmp_path, "bad.csv", "assignment,probability\n" + rows)
+        assert run(["predict", "--votes", votes3, "--mode", "symmetric",
+                    "--posterior", post]) == 2
+        captured = capsys.readouterr()
+        assert captured.err and "p(acceptable)" not in captured.out
+
 
 class TestCrossval:
     def test_learning_curve_file(self, votes3, tmp_path, capsys):

@@ -90,6 +90,29 @@ def test_normaliser_adds_left_to_right():
     assert post[0] == 1.0 / inference._ordered_sum(unnorm) == 1.0
 
 
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(
+    st.floats(allow_nan=False),
+    st.floats(-1e-300, 1e-300, allow_subnormal=True),
+    st.sampled_from((0.0, -0.0, math.inf, -math.inf, 1e300, -1e300))), max_size=40))
+@example([])
+@example([-0.0])
+@example([-0.0, -0.0])
+@example([1e300, 1e300, -math.inf])
+def test_ordered_sum_is_a_left_to_right_loop(terms):
+    total = 0.0
+    for t in terms:
+        total += t
+    with np.errstate(over="ignore", invalid="ignore"):  # the loop overflows silently
+        got = inference._ordered_sum(np.array(terms, dtype=float))
+    assert type(got) is float
+    if math.isnan(total):
+        assert math.isnan(got)
+    else:
+        assert got == total and math.copysign(1.0, got) == math.copysign(1.0, total)
+
+
 def ref_argmax_set(scores):
     best = max(scores.values())
     if best == -math.inf:
@@ -349,6 +372,6 @@ def test_exact_inference_at_twenty_free_variables_within_bound():
 ])
 def test_predictive_rejects_bad_keys(key, error):
     space = AttackVariableSpace.create(3, mode="symmetric", clamps={0: 1})
-    post = PosteriorDistribution(entries={(1, 1, 0): 0.5, key: 0.5})
     with pytest.raises(InputError, match=error):
+        post = PosteriorDistribution.from_entries({(1, 1, 0): 0.5, key: 0.5})
         posterior_predictive(1, post, space, model.ModelConfig())

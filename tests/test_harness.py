@@ -49,7 +49,7 @@ class TestSplitPlan:
 class TestPredictiveScore:
     def test_point_mass_deterministic_prediction(self):
         space = sym3()
-        post = PosteriorDistribution(entries={(1, 1, 1): 1.0}, kind="exact")
+        post = PosteriorDistribution.from_entries({(1, 1, 1): 1.0}, kind="exact")
         # under the full triangle, each singleton is an extension: linear
         # prediction probability is 1 for singletons
         score = predictive_score([Observation(1, 1), Observation(2, 1)],
@@ -58,14 +58,14 @@ class TestPredictiveScore:
 
     def test_label_zero_uses_complement(self):
         space = sym3()
-        post = PosteriorDistribution(entries={(0, 0, 0): 1.0}, kind="exact")
+        post = PosteriorDistribution.from_entries({(0, 0, 0): 1.0}, kind="exact")
         p1 = predictive_score([Observation(1, 1)], post, space, CFG)
         p0 = predictive_score([Observation(1, 0)], post, space, CFG)
         assert p0 == pytest.approx(1.0 - p1)
 
     def test_weighted_mean(self):
         space = sym3()
-        post = PosteriorDistribution(entries={(0, 0, 0): 1.0}, kind="exact")
+        post = PosteriorDistribution.from_entries({(0, 0, 0): 1.0}, kind="exact")
         a = predictive_score([Observation(1, 1, 3), Observation(7, 1, 1)],
                              post, space, CFG)
         b = predictive_score([Observation(1, 1), Observation(1, 1),

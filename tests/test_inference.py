@@ -175,6 +175,30 @@ class TestExactPosterior:
         assert post.prob((1, 1, 1)) >= 0.99
 
 
+class TestPosteriorArrays:
+    def test_entries_view_rows_in_order(self):
+        space = sym3(priors=(0.2, 0.5, 0.9))
+        post = exact_posterior([Observation(5, 1)], space, CFG)
+        assert list(post.entries) == list(space.assignments())
+        assert list(post.entries.values()) == post.probs.tolist()
+        assert post.entries is post.entries
+        with pytest.raises(ValueError):
+            post.probs[0] = 1.0
+        with pytest.raises(ValueError):
+            post.bits[0, 0] = 1
+
+    @pytest.mark.parametrize("p", [math.nan, math.inf, -0.5])
+    def test_rejects_bad_probability(self, p):
+        with pytest.raises(InputError, match="finite and nonnegative"):
+            PosteriorDistribution.from_entries({(0,): p, (1,): 1.0})
+
+    def test_rejects_mass_other_than_one(self):
+        with pytest.raises(InputError, match="sums to"):
+            PosteriorDistribution.from_entries({(0,): 0.5, (1,): 0.25})
+        with pytest.raises(InputError, match="sums to"):
+            PosteriorDistribution.from_entries({})
+
+
 class TestSequentialUpdate:
     def test_constant_likelihood_leaves_posterior_unchanged(self):
         space = sym3(priors=(0.1, 0.15, 0.2))
@@ -199,7 +223,7 @@ class TestSequentialUpdate:
                 assert post.prob(att) == pytest.approx(batch.prob(att), abs=1e-12)
 
     def test_requires_exact_kind(self):
-        post = PosteriorDistribution(entries={(0,): 1.0}, kind="sampled")
+        post = PosteriorDistribution.from_entries({(0,): 1.0}, kind="sampled")
         space = AttackVariableSpace.create(2, mode="symmetric")
         with pytest.raises(InputError):
             sequential_update(post, Observation(0, 1), space, CFG)
@@ -332,7 +356,7 @@ class TestMLPrediction:
 class TestPosteriorPredictive:
     def test_point_mass(self):
         space = sym3()
-        post = PosteriorDistribution(entries={(1, 1, 1): 1.0}, kind="exact")
+        post = PosteriorDistribution.from_entries({(1, 1, 1): 1.0}, kind="exact")
         for e in range(8):
             expected = theta(e, (1, 1, 1), space, CFG, family="linear")
             assert posterior_predictive(e, post, space, CFG) == pytest.approx(expected)
@@ -341,7 +365,7 @@ class TestPosteriorPredictive:
         space = AttackVariableSpace.create(2, mode="symmetric")
         cfg = ModelConfig(family="deterministic", w=None,
                           prediction_family="deterministic")
-        post = PosteriorDistribution(entries={(0,): 0.5, (1,): 0.5}, kind="exact")
+        post = PosteriorDistribution.from_entries({(0,): 0.5, (1,): 0.5}, kind="exact")
         # {a,b} is an extension only without the attack
         assert posterior_predictive(3, post, space, cfg) == pytest.approx(0.5)
 
@@ -354,7 +378,7 @@ class TestPosteriorPredictive:
 
     def test_prediction_family_override(self):
         space = sym3()
-        post = PosteriorDistribution(entries={(0, 0, 0): 1.0}, kind="exact")
+        post = PosteriorDistribution.from_entries({(0, 0, 0): 1.0}, kind="exact")
         lin = posterior_predictive(1, post, space, CFG, family="linear")
         exp = posterior_predictive(1, post, space, CFG, family="exponential")
         assert lin == pytest.approx(1 / 3)

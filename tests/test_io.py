@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 from argbayes import io
 from argbayes.af import SEMANTICS, ArgumentationFramework
-from argbayes.errors import ConfigError, DegenerateEvidenceError, ParseError, SchemaError
+from argbayes.errors import (
+    ConfigError,
+    DegenerateEvidenceError,
+    InputError,
+    ParseError,
+    SchemaError,
+)
 from argbayes.inference import (
     AttackVariableSpace,
     Observation,
@@ -134,8 +140,8 @@ class TestVoteFiles:
 
 class TestPosteriorFiles:
     def test_round_trip(self, tmp_path):
-        post = PosteriorDistribution(
-            entries={(0, 0): 0.125, (1, 0): 0.375, (1, 1): 0.5})
+        post = PosteriorDistribution.from_entries(
+            {(0, 0): 0.125, (1, 0): 0.375, (1, 1): 0.5})
         path = tmp_path / "post.csv"
         io.save_posterior(path, post)
         again = io.load_posterior(path)
@@ -169,6 +175,18 @@ class TestPosteriorFiles:
     def test_bad_header(self, tmp_path):
         p = write(tmp_path, "post.csv", "foo,bar\n00,1.0\n")
         with pytest.raises(SchemaError):
+            io.load_posterior(p)
+
+    @pytest.mark.parametrize("rows, error, match", [
+        ("000,abc\n", ParseError, r"post\.csv:2: probability 'abc' is not a number"),
+        ("0,0.5\n0,0.5\n1,0.5\n", ParseError, r"post\.csv:3: assignment 0 repeats"),
+        ("", SchemaError, "no assignments"),
+        ("0,nan\n1,1.0\n", InputError, "finite"),
+        ("0,inf\n1,1.0\n", InputError, "finite"),
+    ])
+    def test_bad_rows(self, tmp_path, rows, error, match):
+        p = write(tmp_path, "post.csv", "assignment,probability\n" + rows)
+        with pytest.raises(error, match=match):
             io.load_posterior(p)
 
 
