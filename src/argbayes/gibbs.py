@@ -45,6 +45,8 @@ class GibbsConfig:
             raise InputError("burn-in must satisfy 0 <= B < I")
         if self.chains < 1:
             raise InputError("chains must be positive")
+        if self.seed < 0:
+            raise InputError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass

@@ -37,6 +37,8 @@ class SplitPlan:
     repeats_per_size: int = 10
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise PlanError(f"seed must be nonnegative, got {self.seed}")
         if self.repeats_per_size < 1:
             raise PlanError("repeats_per_size must be at least 1")
         if any(s < 0 for s in self.train_sizes):

@@ -16,13 +16,17 @@ scalar steps of a per-assignment loop, so results are bit-identical to one.
 A posterior is bit rows and a probability vector; ``entries`` is a view of
 them built on first read. It keeps its rows' tables per (space, semantics)
 when they fit in 64 MB, so repeated predictions are column gathers.
+
+The process keeps the scored form of its most recent (space, semantics):
+bit rows, log prior and, when they fit, tables, all read-only. Later
+posterior, MAP, ML and evidence calls on it read them, not the kernel.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -33,7 +37,7 @@ from .errors import CapacityError, DegenerateEvidenceError, InputError
 EXACT_CAP = 20
 
 #: Frameworks x subsets per chunk of the batched kernel, and the largest
-#: distance tables (one byte per entry and subset) a posterior keeps.
+#: distance tables (one byte per entry and subset) a posterior or ``_scored`` keeps.
 _CHUNK_ENTRIES, _RETAIN_BYTES = 1 << 20, 1 << 26
 
 Assignment = tuple[int, ...]
@@ -165,10 +169,18 @@ class AttackVariableSpace:
         return map(tuple, self.assignment_bits().tolist())
 
     def assignment_from_attacks(self, attacks) -> Assignment:
-        """Bit encoding of a concrete attack relation."""
+        """Bit encoding of a concrete attack relation; InputError for a pair
+        with no variable, or in symmetric mode for a pair without its reverse."""
         attacks = set(tuple(p) for p in attacks)
+        known = set(self.variables)
         if self.mode == "symmetric":
-            attacks |= {(b, a) for a, b in attacks}
+            known |= {(b, a) for a, b in known}
+        for a, b in sorted(attacks):
+            if (a, b) not in known:
+                raise InputError(f"attack ({a}, {b}) has no variable in the "
+                                 f"{self.mode} space over {self.n_args} arguments")
+            if self.mode == "symmetric" and (b, a) not in attacks:
+                raise InputError(f"symmetric attack ({a}, {b}) lacks its reverse ({b}, {a})")
         return tuple(int(p in attacks) for p in self.variables)
 
 
@@ -321,6 +333,7 @@ def _columns(memo: dict, space: AttackVariableSpace, semantics: str,
         if len(rows) << space.n_args > _RETAIN_BYTES:
             return _tables(rows, space, semantics, subsets)
         memo[key] = _tables(rows, space, semantics)
+        memo[key].flags.writeable = False
     return memo[key][:, subsets]
 
 
@@ -346,19 +359,30 @@ def _log_likelihood(obs: list[Observation], dist: np.ndarray,
     return ll
 
 
+@lru_cache(maxsize=1)
+def _scored(space: AttackVariableSpace, semantics: str):
+    """Read-only bit rows of all assignments and their log prior, with the
+    memo of their tables under ``semantics`` that ``_columns`` fills."""
+    bits = space.assignment_bits()
+    prior = _log_prior(bits, space)
+    bits.flags.writeable = prior.flags.writeable = False
+    return bits, prior, {}
+
+
 def _exact_scores(obs: list[Observation], space: AttackVariableSpace,
                   cfg: model.ModelConfig, cap: int):
-    """Bit rows of all assignments, their log prior and log likelihood, and a
-    memo of their tables. No observations means no enumeration."""
+    """Bit rows of all assignments, their log prior and log likelihood, and
+    the memo of their tables, from the space's cached scoring. No
+    observations means no kernel call."""
     if (k := len(space.free_indices)) > cap:
         raise CapacityError(
             f"{k} free attack variables exceed the exact-inference cap of {cap}")
-    bits = space.assignment_bits()
-    ll, memo = np.zeros(len(bits)), {}
+    bits, prior, memo = _scored(space, cfg.semantics)
+    ll = np.zeros(len(bits))
     if obs:
         dist = _columns(memo, space, cfg.semantics, [o.subset for o in obs], lambda: bits)
         ll = _log_likelihood(obs, dist, space, cfg)
-    return bits, _log_prior(bits, space), ll, memo
+    return bits, prior, ll, memo
 
 
 def unnormalized_log_masses(obs: list[Observation], space: AttackVariableSpace,
@@ -417,9 +441,10 @@ def evidence(e: int, space: AttackVariableSpace, cfg: model.ModelConfig,
              cap: int = EXACT_CAP) -> float:
     """Marginal probability that subset e is labelled acceptable, averaging
     the likelihood over the attack prior."""
-    bits, log_prior, _, _ = _exact_scores([], space, cfg, cap)
+    bits, log_prior, _, memo = _exact_scores([], space, cfg, cap)
     prior = np.fromiter(map(math.exp, memoryview(log_prior)), float, len(bits))
-    return posterior_predictive(e, PosteriorDistribution(bits, prior), space, cfg, cfg.family)
+    return posterior_predictive(e, PosteriorDistribution(bits, prior, "exact", memo),
+                                space, cfg, cfg.family)
 
 
 def subset_thetas(att: Assignment, space: AttackVariableSpace,

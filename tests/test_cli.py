@@ -128,6 +128,14 @@ class TestGibbs:
         assert run(base + ["--seed", "2", "--out-dir", str(out2)]) == 0
         assert (out1 / "histogram.csv").read_text() != (out2 / "histogram.csv").read_text()
 
+    def test_negative_seed_is_an_input_error(self, votes3, tmp_path, capsys):
+        base = ["gibbs", "--votes", votes3, "--iterations", "20", "--burn-in", "0",
+                "--out-dir", str(tmp_path / "o")]
+        assert run(base + ["--seed", "-5"]) == 2
+        assert "error: seed must be nonnegative" in capsys.readouterr().err
+        cfg = write(tmp_path, "c.cfg", "seed = -3")
+        assert run(base + ["--config", cfg]) == 2
+        assert "seed must be nonnegative" in capsys.readouterr().err
 
     def test_infinite_w_is_a_config_error(self, votes3, tmp_path, capsys):
         base = ["gibbs", "--votes", votes3, "--mode", "symmetric",
@@ -217,6 +225,20 @@ class TestSynth:
                     "--seed", "2", "--out-dir", str(out)])
         assert code == 0
         assert (out / "recovery.csv").exists()
+
+    def test_negative_seed(self, capsys):
+        assert run(["synth", "--n-args", "3", "--seed", "-1"]) == 2
+        assert "error: seed must be nonnegative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode, attacks, message", [
+        ("symmetric", '[["a", "b"]]', "(0, 1) lacks its reverse (1, 0)"),
+        ("directed", '[["a", "a"]]', "(0, 0) has no variable"),
+    ])
+    def test_framework_outside_the_space(self, tmp_path, capsys, mode, attacks, message):
+        path = write(tmp_path, "f.json", f'{{"arguments": ["a", "b", "c"], "attacks": {attacks}}}')
+        assert run(["synth", "--framework", path, "--mode", mode, "--seed", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
 
     @pytest.mark.parametrize("flag, name", [("--n-args", "n_args"),
                                             ("--n-obs", "n_obs")])

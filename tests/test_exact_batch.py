@@ -344,6 +344,7 @@ def test_chunked_rebuild_equals_kept_tables(monkeypatch):
     # keep no tables, and score 5 frameworks of 8 subsets per chunk
     monkeypatch.setattr(inference, "_RETAIN_BYTES", 0)
     monkeypatch.setattr(inference, "_CHUNK_ENTRIES", 40)
+    inference._scored.cache_clear()
     rebuilt = outputs()
     assert kept[0] and not rebuilt[0]
     assert kept[1:] == rebuilt[1:]

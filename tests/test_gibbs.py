@@ -85,6 +85,10 @@ class TestGibbsConfig:
         with pytest.raises(InputError):
             GibbsConfig(iterations=0)
 
+    def test_nonnegative_seed(self):
+        with pytest.raises(InputError, match="seed"):
+            GibbsConfig(seed=-1)
+
 
 class TestConditional:
     def test_no_observations_equals_prior(self):

@@ -45,6 +45,10 @@ class TestSplitPlan:
         with pytest.raises(PlanError):
             SplitPlan(seed=0, train_sizes=(-1,))
 
+    def test_seed_nonnegative(self):
+        with pytest.raises(PlanError, match="seed"):
+            SplitPlan(seed=-1, train_sizes=(1,))
+
 
 class TestPredictiveScore:
     def test_point_mass_deterministic_prediction(self):

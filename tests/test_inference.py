@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import pytest
 
@@ -73,6 +74,17 @@ class TestSpace:
         space = sym3()
         for att in space.assignments():
             assert space.assignment_from_attacks(space.attacks_of(att)) == att
+
+    @pytest.mark.parametrize("space, attacks, message", [
+        (sym3(), [(0, 1)], "(0, 1) lacks its reverse (1, 0)"),
+        (sym3(), [(0, 0)], "(0, 0) has no variable"),
+        (sym3(), [(0, 3), (3, 0)], "(0, 3) has no variable"),
+        (dir_space(3), [(0, 1), (2, 2)], "(2, 2) has no variable"),
+        (dir_space(3), [(1, 5)], "(1, 5) has no variable"),
+    ])
+    def test_relation_outside_the_space_rejected(self, space, attacks, message):
+        with pytest.raises(InputError, match=re.escape(message)):
+            space.assignment_from_attacks(attacks)
 
 
 class TestPrior:
