@@ -75,13 +75,12 @@ class ArgumentationFramework:
             pairs |= {(b, a) for (a, b) in pairs}
         return cls(n=n, attacks=frozenset(pairs), names=names, symmetric=symmetric)
 
-    def attack_key(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(self.attacks))
-
 
 @lru_cache(maxsize=1 << 18)
 def _extensions_cached(n: int, attacks: tuple[tuple[int, int], ...],
                        semantics: str) -> tuple[int, ...]:
+    if n > ENUMERATION_CAP:
+        raise CapacityError(f"{n} arguments exceed the enumeration cap of {ENUMERATION_CAP}")
     att_from = [0] * n
     att_to = [0] * n
     for (a, b) in attacks:
@@ -102,25 +101,17 @@ def _extensions_cached(n: int, attacks: tuple[tuple[int, int], ...],
     return tuple(np.flatnonzero(row).tolist())
 
 
-def extensions(af: ArgumentationFramework, semantics: str,
-               cap: int = ENUMERATION_CAP) -> tuple[int, ...]:
+def extensions(af: ArgumentationFramework, semantics: str) -> tuple[int, ...]:
     """All extensions of ``af`` under ``semantics``, as sorted bit masks.
 
     Grounded semantics yields exactly one extension; stable may yield none.
     """
-    if semantics not in SEMANTICS:
-        raise InputError(f"unknown semantics {semantics!r}")
-    if af.n > cap:
-        raise CapacityError(
-            f"{af.n} arguments exceed the enumeration cap of {cap}")
-    return _extensions_cached(af.n, af.attack_key(), semantics)
+    return _extensions_cached(af.n, tuple(sorted(af.attacks)), semantics)
 
 
 def extensions_for_attacks(n: int, attacks: tuple[tuple[int, int], ...],
                            semantics: str) -> tuple[int, ...]:
     """Cached enumeration entry point keyed directly by the attack relation."""
-    if n > ENUMERATION_CAP:
-        raise CapacityError(f"{n} arguments exceed the enumeration cap of {ENUMERATION_CAP}")
     return _extensions_cached(n, tuple(sorted(attacks)), semantics)
 
 

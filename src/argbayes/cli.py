@@ -1,34 +1,27 @@
 """Command-line entry point.
 
 Subcommands: semantics, posterior, gibbs, predict, crossval, synth, demo.
-Exit codes: 0 success, 1 usage error or failed demo check, 2 data/schema
-error, 3 capacity error, 4 degenerate evidence.
+Exit codes: 0 success, 1 usage error (an unknown or missing flag, a bad
+--train-sizes) or failed demo check, 2 data/schema/config error, including a
+bad value of any config flag, 3 capacity error, 4 degenerate evidence.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import io
-from .af import bits_of, extensions
+from .af import SEMANTICS, bits_of, extensions
 from .demo import DEMO_CASES, run_demo
-from .errors import (
-    ArgBayesError,
-    CapacityError,
-    ConfigError,
-    DegenerateEvidenceError,
-    InputError,
-    PlanError,
-    SchemaError,
-)
+from .errors import ArgBayesError
 from .gibbs import convergence_trace, run_gibbs
 from .harness import SplitPlan, cross_validate, synthetic_experiment
 from .inference import AttackVariableSpace, exact_posterior, posterior_predictive
+from .model import FAMILIES
 
 
 class _Parser(argparse.ArgumentParser):
@@ -51,42 +44,31 @@ def _format_subset(mask: int, names) -> str:
     return "{" + ", ".join(members) + "}"
 
 
+def _one_of(values) -> str:
+    return "{" + ",".join(values) + "}"
+
+
 def _add_model_flags(p):
     p.add_argument("--config", help="flat key = value configuration file")
-    p.add_argument("--semantics", choices=("grounded", "complete", "preferred", "stable"))
-    p.add_argument("--family", choices=("deterministic", "linear", "exponential"))
-    p.add_argument("--w", type=float)
-    p.add_argument("--lambda", dest="lam", help="prior: one value or comma list")
-    p.add_argument("--mode", choices=("symmetric", "directed"))
-    p.add_argument("--convention", choices=io.CONVENTION_MODES)
+    p.add_argument("--semantics", metavar=_one_of(SEMANTICS))
+    p.add_argument("--family", metavar=_one_of(FAMILIES))
+    p.add_argument("--w")
+    p.add_argument("--lambda", help="prior: one value or comma list")
+    p.add_argument("--mode", metavar=_one_of(io.SPACE_MODES))
+    p.add_argument("--convention", metavar=_one_of(io.CONVENTION_MODES))
 
 
 def _add_gibbs_flags(p):
-    p.add_argument("--iterations", type=int)
-    p.add_argument("--burn-in", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--chains", type=int)
+    p.add_argument("--iterations")
+    p.add_argument("--burn-in")
+    p.add_argument("--seed")
+    p.add_argument("--chains")
 
 
 def _resolve_run_config(args) -> io.RunConfig:
-    base = io.load_config(args.config) if args.config else io.parse_config_text("")
-
-    def flags(*keys):
-        return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
-
-    model = replace(base.model, **flags("semantics", "family", "w"))
-    gibbs = replace(base.gibbs, **flags("iterations", "burn_in", "seed", "chains"))
-    priors = base.priors
-    lam = getattr(args, "lam", None)
-    if lam is not None:
-        priors = io.parse_priors(lam, "--lambda")
-    mode = getattr(args, "mode", None) or base.mode
-    conv = base.convention
-    if getattr(args, "convention", None):
-        conv = io.ObservationConvention(mode=args.convention,
-                                        negative_rows=base.convention.negative_rows)
-    return io.RunConfig(model=model, gibbs=gibbs, priors=priors, mode=mode,
-                        convention=conv)
+    base = io.load_config(args.config) if args.config else io.RunConfig()
+    flags = {k: v for k, v in vars(args).items() if k in io.CONFIG_KEYS and v is not None}
+    return io.resolve_config(flags, base)
 
 
 def _load_observation_space(args, run: io.RunConfig):
@@ -98,8 +80,7 @@ def _load_observation_space(args, run: io.RunConfig):
 def _cmd_semantics(args) -> int:
     af = io.load_framework(args.framework)
     names = af.names or tuple(str(i) for i in range(af.n))
-    sem = args.semantics or "complete"
-    for ext in extensions(af, sem):
+    for ext in extensions(af, args.semantics or io.RunConfig().model.semantics):
         print(_format_subset(ext, names))
     return 0
 
@@ -212,7 +193,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("semantics", help="enumerate extensions of a framework file")
     p.add_argument("--framework", required=True)
-    p.add_argument("--semantics", choices=("grounded", "complete", "preferred", "stable"))
+    p.add_argument("--semantics", metavar=_one_of(SEMANTICS))
     p.set_defaults(func=_cmd_semantics)
 
     p = sub.add_parser("posterior", help="exact posterior over attack assignments")
@@ -268,18 +249,9 @@ def run(argv=None) -> int:
         return args.func(args)
     except SystemExit as e:
         return int(e.code or 0)
-    except (SchemaError, ConfigError, PlanError, InputError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except CapacityError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except DegenerateEvidenceError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4
     except ArgBayesError as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
+        return e.exit_code
 
 
 def main() -> None:

@@ -161,8 +161,7 @@ def check_two_arg_ml(w: float = 2.0) -> list[CheckLine]:
     lines = []
     worst = 0.0
     for att, expected in TWO_ARG_LIKELIHOODS.items():
-        got = math.exp(joint_log_likelihood(obs, att, space, cfg)) \
-            if joint_log_likelihood(obs, att, space, cfg) > -math.inf else 0.0
+        got = math.exp(joint_log_likelihood(obs, att, space, cfg))
         worst = max(worst, abs(got - float(expected)))
     lines.append(CheckLine("two-argument joint likelihoods (0, 1/9, 1/9, 1/3)",
                            worst < TOLERANCE, f"max |delta| = {worst:.2e}"))

@@ -4,6 +4,8 @@
 class ArgBayesError(Exception):
     """Base class for all package errors."""
 
+    exit_code = 2  # of the command line; 1 is left to usage errors
+
 
 class InputError(ArgBayesError, ValueError):
     """Invalid argument index, subset, or assignment."""
@@ -12,10 +14,14 @@ class InputError(ArgBayesError, ValueError):
 class CapacityError(ArgBayesError):
     """Problem size exceeds the configured enumeration cap."""
 
+    exit_code = 3
+
 
 class DegenerateEvidenceError(ArgBayesError):
     """Total unnormalized posterior mass is zero (deterministic family
     combined with contradictory observations)."""
+
+    exit_code = 4
 
 
 class SchemaError(ArgBayesError, ValueError):

@@ -9,11 +9,11 @@ weighted mean.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import inference
+from . import af, inference
 from .errors import PlanError
 from .gibbs import GibbsConfig, SampleHistogram, convergence_trace, run_gibbs
 from .inference import (
@@ -99,9 +99,7 @@ def cross_validate(dataset: list[Observation], plan: SplitPlan,
             chosen = set(int(i) for i in idx)
             train = merge_observations([dataset[i] for i in sorted(chosen)])
             test = [o for i, o in enumerate(dataset) if i not in chosen]
-            cell_g = GibbsConfig(iterations=g.iterations, burn_in=g.burn_in,
-                                 seed=gibbs_seed, chains=g.chains)
-            post = _infer(train, space, cfg, cell_g, method)
+            post = _infer(train, space, cfg, replace(g, seed=gibbs_seed), method)
             scores.append(predictive_score(test, post, space, cfg))
             cell += 1
         mean = float(np.mean(scores))
@@ -131,9 +129,8 @@ def sample_participant_votes(true_att: Assignment, space: AttackVariableSpace,
                              flip_prob: float, rng) -> list[Observation]:
     """Vote-matrix-shaped data: each participant picks an extension of the
     true framework uniformly and flips each cell independently."""
-    from .af import extensions_for_attacks
-    exts = extensions_for_attacks(space.n_args, space.attacks_of(true_att),
-                                  cfg.semantics)
+    exts = af.extensions_for_attacks(space.n_args, space.attacks_of(true_att),
+                                     cfg.semantics)
     n = space.n_args
     obs = []
     for _ in range(n_participants):

@@ -370,13 +370,13 @@ def _scored(space: AttackVariableSpace, semantics: str):
 
 
 def _exact_scores(obs: list[Observation], space: AttackVariableSpace,
-                  cfg: model.ModelConfig, cap: int):
+                  cfg: model.ModelConfig):
     """Bit rows of all assignments, their log prior and log likelihood, and
     the memo of their tables, from the space's cached scoring. No
     observations means no kernel call."""
-    if (k := len(space.free_indices)) > cap:
+    if (k := len(space.free_indices)) > EXACT_CAP:
         raise CapacityError(
-            f"{k} free attack variables exceed the exact-inference cap of {cap}")
+            f"{k} free attack variables exceed the exact-inference cap of {EXACT_CAP}")
     bits, prior, memo = _scored(space, cfg.semantics)
     ll = np.zeros(len(bits))
     if obs:
@@ -386,18 +386,17 @@ def _exact_scores(obs: list[Observation], space: AttackVariableSpace,
 
 
 def unnormalized_log_masses(obs: list[Observation], space: AttackVariableSpace,
-                            cfg: model.ModelConfig,
-                            cap: int = EXACT_CAP) -> dict[Assignment, float]:
+                            cfg: model.ModelConfig) -> dict[Assignment, float]:
     """Log(prior * likelihood) per consistent assignment; -inf where the
     prior is zero."""
-    bits, prior, ll, _ = _exact_scores(obs, space, cfg, cap)
+    bits, prior, ll, _ = _exact_scores(obs, space, cfg)
     return dict(zip(map(tuple, bits.tolist()), (prior + ll).tolist()))
 
 
 def exact_posterior(obs: list[Observation], space: AttackVariableSpace,
-                    cfg: model.ModelConfig, cap: int = EXACT_CAP) -> PosteriorDistribution:
+                    cfg: model.ModelConfig) -> PosteriorDistribution:
     """Normalized posterior over all assignments consistent with the clamps."""
-    bits, prior, ll, memo = _exact_scores(obs, space, cfg, cap)
+    bits, prior, ll, memo = _exact_scores(obs, space, cfg)
     return PosteriorDistribution(bits, _log_normalize(bits, prior + ll), "exact", memo)
 
 
@@ -424,24 +423,23 @@ def _argmax_set(bits: np.ndarray, scores: np.ndarray) -> list[Assignment]:
 
 
 def ml_estimate(obs: list[Observation], space: AttackVariableSpace,
-                cfg: model.ModelConfig, cap: int = EXACT_CAP) -> list[Assignment]:
+                cfg: model.ModelConfig) -> list[Assignment]:
     """All assignments maximizing the joint likelihood, lexicographic order."""
-    bits, _, ll, _ = _exact_scores(obs, space, cfg, cap)
+    bits, _, ll, _ = _exact_scores(obs, space, cfg)
     return _argmax_set(bits, ll)
 
 
 def map_estimate(obs: list[Observation], space: AttackVariableSpace,
-                 cfg: model.ModelConfig, cap: int = EXACT_CAP) -> list[Assignment]:
+                 cfg: model.ModelConfig) -> list[Assignment]:
     """All assignments maximizing prior * likelihood, lexicographic order."""
-    bits, prior, ll, _ = _exact_scores(obs, space, cfg, cap)
+    bits, prior, ll, _ = _exact_scores(obs, space, cfg)
     return _argmax_set(bits, prior + ll)
 
 
-def evidence(e: int, space: AttackVariableSpace, cfg: model.ModelConfig,
-             cap: int = EXACT_CAP) -> float:
+def evidence(e: int, space: AttackVariableSpace, cfg: model.ModelConfig) -> float:
     """Marginal probability that subset e is labelled acceptable, averaging
     the likelihood over the attack prior."""
-    bits, log_prior, _, memo = _exact_scores([], space, cfg, cap)
+    bits, log_prior, _, memo = _exact_scores([], space, cfg)
     prior = np.fromiter(map(math.exp, memoryview(log_prior)), float, len(bits))
     return posterior_predictive(e, PosteriorDistribution(bits, prior, "exact", memo),
                                 space, cfg, cfg.family)

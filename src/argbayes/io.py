@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .af import ArgumentationFramework, mask_of
 from .errors import ArgBayesError, ConfigError, InputError, ParseError, SchemaError
 from .gibbs import GibbsConfig
 from .inference import Observation, PosteriorDistribution, merge_observations
-from .model import FAMILIES, ModelConfig
+from .model import ModelConfig
 
 CONVENTION_MODES = ("row-as-set", "cell-as-singleton")
 NEGATIVE_ROW_MODES = ("ignore", "include-as-label-0")
@@ -217,28 +217,60 @@ def save_table(path: str | Path, header: list[str], rows: list[list]) -> None:
 # ---------------------------------------------------------------------------
 # Flat key=value run configuration
 
-_CONFIG_KEYS = ("semantics", "family", "w", "prediction_family", "lambda",
-                "mode", "iterations", "burn_in", "seed", "chains",
-                "convention", "negative_rows")
+SPACE_MODES = ("symmetric", "directed")
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    model: ModelConfig
-    gibbs: GibbsConfig
+    model: ModelConfig = ModelConfig()
+    gibbs: GibbsConfig = GibbsConfig()
     priors: float | tuple[float, ...] = 0.5
     mode: str = "symmetric"
     convention: ObservationConvention = ObservationConvention()
 
+    def __post_init__(self):
+        if self.mode not in SPACE_MODES:
+            raise ConfigError(f"unknown variable-space mode {self.mode!r}")
 
-def parse_priors(text: str, source: str) -> float | tuple[float, ...]:
+
+def _priors(text: str) -> float | tuple[float, ...]:
     """The 'lambda' prior: one value, or a comma list with one per variable."""
-    try:
-        if "," in text:
-            return tuple(float(x) for x in text.split(","))
-        return float(text)
-    except ValueError as e:
-        raise ConfigError(f"{source}: invalid value for 'lambda': {text!r}") from e
+    return tuple(float(x) for x in text.split(",")) if "," in text else float(text)
+
+
+#: Config key -> (RunConfig part, or None for a field of RunConfig itself,
+#: field, parser of the key's text).
+CONFIG_KEYS = {
+    "semantics": ("model", "semantics", str),
+    "family": ("model", "family", str),
+    "w": ("model", "w", float),
+    "prediction_family": ("model", "prediction_family", str),
+    "lambda": (None, "priors", _priors),
+    "mode": (None, "mode", str),
+    "iterations": ("gibbs", "iterations", int),
+    "burn_in": ("gibbs", "burn_in", int),
+    "seed": ("gibbs", "seed", int),
+    "chains": ("gibbs", "chains", int),
+    "convention": ("convention", "mode", str),
+    "negative_rows": ("convention", "negative_rows", str),
+}
+
+
+def resolve_config(values: dict[str, str], base: RunConfig = RunConfig()) -> RunConfig:
+    """``base`` with the field of each config key replaced by its parsed
+    value. A value that does not parse is a ConfigError naming its key; the
+    constructors of the config dataclasses check the rest."""
+    fields: dict[str | None, dict] = {}
+    for key, text in values.items():
+        part, name, parse = CONFIG_KEYS[key]
+        try:
+            fields.setdefault(part, {})[name] = parse(text)
+        except ValueError as e:
+            raise ConfigError(f"invalid value for {key!r}: {text!r}") from e
+    top = fields.pop(None, {})
+    for part, changes in fields.items():
+        top[part] = replace(getattr(base, part), **changes)
+    return replace(base, **top)
 
 
 def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
@@ -251,50 +283,15 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
             raise ConfigError(f"{source}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in CONFIG_KEYS:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
-        values[key] = value
-
-    def take(key, default, conv):
-        if key not in values:
-            return default
-        try:
-            return conv(values[key])
-        except (ValueError, TypeError) as e:
-            raise ConfigError(f"{source}: invalid value for {key!r}: {values[key]!r}") from e
-
-    family = take("family", "exponential", str)
-    if family not in FAMILIES:
-        raise ConfigError(f"{source}: invalid value for 'family': {family!r}")
-    w = take("w", 2.0, float)
+        values[key] = value.strip()
     try:
-        mcfg = ModelConfig(
-            semantics=take("semantics", "complete", str),
-            family=family,
-            w=w,
-            prediction_family=take("prediction_family", "linear", str),
-        )
-        gcfg = GibbsConfig(
-            iterations=take("iterations", 10_000, int),
-            burn_in=take("burn_in", 1_000, int),
-            seed=take("seed", 0, int),
-            chains=take("chains", 1, int),
-        )
+        return resolve_config(values)
     except ArgBayesError as e:
         raise ConfigError(f"{source}: {e}") from e
-    priors = parse_priors(values.get("lambda", "0.5"), source)
-    mode = take("mode", "symmetric", str)
-    if mode not in ("symmetric", "directed"):
-        raise ConfigError(f"{source}: invalid value for 'mode': {mode!r}")
-    convention = ObservationConvention(
-        mode=take("convention", "row-as-set", str),
-        negative_rows=take("negative_rows", "ignore", str),
-    )
-    return RunConfig(model=mcfg, gibbs=gcfg, priors=priors, mode=mode,
-                     convention=convention)
 
 
 def load_config(path: str | Path) -> RunConfig:

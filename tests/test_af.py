@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from argbayes.af import (
+    ENUMERATION_CAP,
     SEMANTICS,
     ArgumentationFramework,
     _extensions_cached,
@@ -302,9 +303,9 @@ class TestExtensions:
             assert len(extensions(af, "grounded")) == 1
 
     def test_cap_enforced(self):
-        af = af_of(3, [])
+        af = af_of(ENUMERATION_CAP + 1, [])
         with pytest.raises(CapacityError):
-            extensions(af, "complete", cap=2)
+            extensions(af, "complete")
 
     def test_unknown_semantics_rejected(self):
         with pytest.raises(InputError):

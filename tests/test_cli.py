@@ -2,7 +2,7 @@ import importlib.resources
 
 import pytest
 
-from argbayes.cli import run
+from argbayes.cli import _resolve_run_config, build_parser, run
 
 DATA = importlib.resources.files("argbayes") / "data"
 
@@ -145,6 +145,34 @@ class TestGibbs:
         cfg = write(tmp_path, "c.cfg", "family = exponential\nw = inf")
         assert run(base + ["--config", cfg]) == 2
         assert "w must be finite" in capsys.readouterr().err
+
+
+class TestConfigFlags:
+    @pytest.mark.parametrize("flag, value, key", [
+        ("--w", "abc", "w"),
+        ("--seed", "x", "seed"),
+        ("--iterations", "x", "iterations"),
+        ("--semantics", "bogus", "semantics"),
+        ("--family", "bogus", "family"),
+        ("--mode", "bogus", "mode"),
+        ("--convention", "bogus", "convention"),
+    ])
+    def test_bad_value_is_a_config_error(self, votes3, tmp_path, capsys, flag, value, key):
+        assert run(["gibbs", "--votes", votes3, flag, value,
+                    "--out-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
+
+    def test_flags_win_over_the_file(self, votes3, tmp_path):
+        cfg = write(tmp_path, "c.cfg", "w = 100\nconvention = cell-as-singleton\n"
+                                       "negative_rows = include-as-label-0\n")
+        args = build_parser().parse_args([
+            "gibbs", "--votes", votes3, "--config", cfg, "--w", "3",
+            "--convention", "row-as-set", "--out-dir", str(tmp_path / "o")])
+        run_config = _resolve_run_config(args)
+        assert run_config.model.w == 3.0
+        assert run_config.convention.mode == "row-as-set"
+        assert run_config.convention.negative_rows == "include-as-label-0"
 
 
 class TestPredict:

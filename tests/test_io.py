@@ -223,6 +223,15 @@ class TestConfig:
         with pytest.raises(ConfigError):
             io.parse_config_text("semantics = optimistic")
 
+    def test_invalid_mode_named(self):
+        with pytest.raises(ConfigError, match="mode 'sideways'"):
+            io.parse_config_text("mode = sideways")
+
+    def test_resolve_overlays_base(self):
+        base = io.parse_config_text("w = 100\nseed = 4")
+        run = io.resolve_config({"w": "3", "lambda": "0.1,0.2"}, base)
+        assert (run.model.w, run.gibbs.seed, run.priors) == (3.0, 4, (0.1, 0.2))
+
     def test_duplicate_key(self):
         with pytest.raises(ConfigError, match="duplicate"):
             io.parse_config_text("w = 2\nw = 3")
