@@ -6,16 +6,16 @@ All functions here are pure. One kernel, ``extension_matrix``, enumerates
 extensions: it evaluates a batch of frameworks over the same arguments on all
 2^n subset masks at once, in O(2^n) time and uint16 memory per framework
 (attacked sets by subset doubling, defence by one gather); preferred adds n
-passes over 2^n/64 packed words. ``_extensions_cached`` is its batch of one,
-cached by the attack relation so repeated queries (e.g. from a Gibbs sweep)
-are cheap; only the grounded extension is computed there directly, as the
-scalar least fixed point of the characteristic function.
+passes over 2^n/64 packed words; one call shares these stages between the
+semantics it is asked for. ``_extensions_cached`` is its batch of one, cached
+by the attack relation: one pass gives a framework's complete, preferred and
+stable extensions, and grounded is the intersection of the complete ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -26,11 +26,6 @@ SEMANTICS = ("grounded", "complete", "preferred", "stable")
 
 #: Largest argument count accepted by extension enumeration (2^n subsets).
 ENUMERATION_CAP = 16
-
-def bits_of(mask: int) -> list[int]:
-    """Indices of set bits, ascending."""
-    return [a for a in range(mask.bit_length()) if mask >> a & 1]
-
 
 def mask_of(indices: Iterable[int]) -> int:
     m = 0
@@ -75,30 +70,30 @@ class ArgumentationFramework:
             pairs |= {(b, a) for (a, b) in pairs}
         return cls(n=n, attacks=frozenset(pairs), names=names, symmetric=symmetric)
 
+    @cached_property
+    def attack_key(self) -> tuple[tuple[int, int], ...]:
+        """The attack pairs, sorted: this framework's key in the extension cache."""
+        return tuple(sorted(self.attacks))
 
-@lru_cache(maxsize=1 << 18)
-def _extensions_cached(n: int, attacks: tuple[tuple[int, int], ...],
-                       semantics: str) -> tuple[int, ...]:
+
+@lru_cache(maxsize=1 << 16)
+def _extensions_cached(n: int, attacks: tuple[tuple[int, int], ...]) -> tuple:
+    """Extensions under each of ``SEMANTICS``, in that order, as sorted masks."""
     if n > ENUMERATION_CAP:
         raise CapacityError(f"{n} arguments exceed the enumeration cap of {ENUMERATION_CAP}")
     att_from = [0] * n
-    att_to = [0] * n
     for (a, b) in attacks:
         att_from[a] |= 1 << b
-        att_to[b] |= 1 << a
+    rows = [np.flatnonzero(m[0]) for m in extension_matrix(
+        np.array([att_from], dtype=np.uint16), SEMANTICS[1:])]
+    # there is always a complete extension, and the grounded one lies in each
+    return ((int(np.bitwise_and.reduce(rows[0])),), *(tuple(r.tolist()) for r in rows))
 
-    if semantics == "grounded":
-        # least fixed point of the characteristic function, from the empty set
-        s, nxt = -1, 0
-        while nxt != s:
-            s, attacked = nxt, 0
-            for a in bits_of(s):
-                attacked |= att_from[a]
-            nxt = sum(1 << a for a in range(n) if att_to[a] & ~attacked == 0)
-        return (s,)
 
-    row = extension_matrix(np.array([att_from], dtype=np.uint16), semantics)[0]
-    return tuple(np.flatnonzero(row).tolist())
+def _lookup(n: int, key: tuple[tuple[int, int], ...], semantics: str) -> tuple[int, ...]:
+    if semantics not in SEMANTICS:
+        raise InputError(f"unknown semantics {semantics!r}")
+    return _extensions_cached(n, key)[SEMANTICS.index(semantics)]
 
 
 def extensions(af: ArgumentationFramework, semantics: str) -> tuple[int, ...]:
@@ -106,13 +101,13 @@ def extensions(af: ArgumentationFramework, semantics: str) -> tuple[int, ...]:
 
     Grounded semantics yields exactly one extension; stable may yield none.
     """
-    return _extensions_cached(af.n, tuple(sorted(af.attacks)), semantics)
+    return _lookup(af.n, af.attack_key, semantics)
 
 
 def extensions_for_attacks(n: int, attacks: tuple[tuple[int, int], ...],
                            semantics: str) -> tuple[int, ...]:
     """Cached enumeration entry point keyed directly by the attack relation."""
-    return _extensions_cached(n, tuple(sorted(attacks)), semantics)
+    return _lookup(n, tuple(sorted(attacks)), semantics)
 
 
 @lru_cache(maxsize=None)
@@ -129,14 +124,16 @@ _WORD_CLEAR = np.array([0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F
                        dtype="<u8")
 
 
-def extension_matrix(att_from: np.ndarray, semantics: str) -> np.ndarray:
+def extension_matrix(att_from: np.ndarray, semantics: str | tuple[str, ...]):
     """Bool [B, 2^n] extension indicator of B frameworks, given as attack
     masks per argument: ``att_from[b, a]`` is whom a attacks, [B, n]. Masks
-    are uint16, which holds every subset within the cap. Grounded is the least
-    complete extension, preferred an admissible set with no admissible strict
-    superset.
+    are uint16, which holds every subset within the cap. ``semantics`` is one
+    name, or a tuple of names for a tuple of matrices; a stage runs only if a
+    name needs it. Grounded is the least complete extension, preferred an
+    admissible set with no admissible strict superset.
     """
-    if semantics not in SEMANTICS:
+    names = (semantics,) if isinstance(semantics, str) else semantics
+    if any(name not in SEMANTICS for name in names):
         raise InputError(f"unknown semantics {semantics!r}")
     batch, n = att_from.shape
     if n > ENUMERATION_CAP:
@@ -148,33 +145,37 @@ def extension_matrix(att_from: np.ndarray, semantics: str) -> np.ndarray:
     for a in range(n):
         np.bitwise_or(attacked[:1 << a], att_from[:, a], out=attacked[1 << a:2 << a])
     cf = (attacked & subsets) == 0
-    if semantics == "stable":
-        return (cf & (attacked == (subsets ^ full))).T
-    # s leaves a undefended when an argument s does not attack attacks a
-    unattacked = (attacked ^ full).astype(np.intp)
-    unattacked *= batch
-    unattacked += np.arange(batch)
-    defended = full ^ np.take(attacked.ravel(), unattacked)
-    if semantics != "preferred":
+    out = {}
+    if "stable" in names:
+        out["stable"] = (cf & (attacked == (subsets ^ full))).T
+    if names != ("stable",):
+        # s leaves a undefended when an argument s does not attack attacks a
+        unattacked = (attacked ^ full).astype(np.intp)
+        unattacked *= batch
+        unattacked += np.arange(batch)
+        defended = full ^ np.take(attacked.ravel(), unattacked)
+    if "complete" in names or "grounded" in names:
         complete = cf & (defended == subsets)
-        if semantics == "complete":
-            return complete.T
+        out["complete"] = complete.T
+    if "grounded" in names:
         # complete rows keep their subset, the others turn all-ones under the AND
         least = np.bitwise_and.reduce(subsets | (complete - np.uint16(1)), axis=0)
-        return (subsets == least).T
-    # admissible sets, framework-major, 64 subsets per little-endian word
-    words = np.zeros((batch, max(8, (1 << n) >> 3)), dtype=np.uint8)
-    words[:, :((1 << n) + 7) >> 3] = np.packbits(
-        (cf & ((subsets & defended) == subsets)).T.copy(), axis=1, bitorder="little")
-    adm = words.view("<u8")
-    # larger[s]: some admissible strict superset of s differs from s only in
-    # the bits passed so far; pass a adds the supersets through s | bit a
-    larger = np.zeros_like(adm)
-    for a in range(min(n, 6)):
-        larger |= ((adm | larger) >> np.uint64(1 << a)) & _WORD_CLEAR[a]
-    for a in range(6, n):
-        shape = (batch, 1 << (n - a - 1), 2, 1 << (a - 6))  # [.., bit a clear/set, ..]
-        pairs = larger.reshape(shape)
-        pairs[:, :, 0] |= adm.reshape(shape)[:, :, 1] | pairs[:, :, 1]
-    return np.unpackbits((adm & ~larger).view(np.uint8), axis=1, count=1 << n,
-                         bitorder="little").view(bool)
+        out["grounded"] = (subsets == least).T
+    if "preferred" in names:
+        # admissible sets, framework-major, 64 subsets per little-endian word
+        words = np.zeros((batch, max(8, (1 << n) >> 3)), dtype=np.uint8)
+        words[:, :((1 << n) + 7) >> 3] = np.packbits(
+            (cf & ((subsets & defended) == subsets)).T.copy(), axis=1, bitorder="little")
+        adm = words.view("<u8")
+        # larger[s]: some admissible strict superset of s differs from s only in
+        # the bits passed so far; pass a adds the supersets through s | bit a
+        larger = np.zeros_like(adm)
+        for a in range(min(n, 6)):
+            larger |= ((adm | larger) >> np.uint64(1 << a)) & _WORD_CLEAR[a]
+        for a in range(6, n):
+            shape = (batch, 1 << (n - a - 1), 2, 1 << (a - 6))  # [.., bit a clear/set, ..]
+            pairs = larger.reshape(shape)
+            pairs[:, :, 0] |= adm.reshape(shape)[:, :, 1] | pairs[:, :, 1]
+        out["preferred"] = np.unpackbits((adm & ~larger).view(np.uint8), axis=1,
+                                         count=1 << n, bitorder="little").view(bool)
+    return out[semantics] if isinstance(semantics, str) else tuple(out[s] for s in names)

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .af import SEMANTICS, bits_of, extensions
+from .af import SEMANTICS, extensions
 from .demo import DEMO_CASES, run_demo
 from .errors import ArgBayesError
 from .gibbs import convergence_trace, run_gibbs
@@ -40,8 +40,7 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 
 def _format_subset(mask: int, names) -> str:
-    members = [names[i] for i in bits_of(mask)]
-    return "{" + ", ".join(members) + "}"
+    return "{" + ", ".join(name for i, name in enumerate(names) if mask >> i & 1) + "}"
 
 
 def _one_of(values) -> str:
@@ -150,14 +149,14 @@ def _cmd_crossval(args) -> int:
 
 def _cmd_synth(args) -> int:
     run = _resolve_run_config(args)
-    rng = np.random.default_rng(run.gibbs.seed)
-    space = AttackVariableSpace.create(args.n_args, mode=run.mode, priors=run.priors)
-    if args.framework:
-        af = io.load_framework(args.framework)
-        space = AttackVariableSpace.create(af.n, mode=run.mode, priors=run.priors)
-        truth = space.assignment_from_attacks(af.attacks)
-    else:
+    af = io.load_framework(args.framework) if args.framework else None
+    space = AttackVariableSpace.create(args.n_args if af is None else af.n,
+                                       mode=run.mode, priors=run.priors)
+    if af is None:
+        rng = np.random.default_rng(run.gibbs.seed)
         truth = tuple(int(b) for b in rng.integers(0, 2, size=len(space.variables)))
+    else:
+        truth = space.assignment_from_attacks(af.attacks)
     print(f"seed = {run.gibbs.seed}")
     report = synthetic_experiment(truth, space, run.model, args.n_obs,
                                   run.gibbs, seed=run.gibbs.seed)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from argbayes import af as af_module
 from argbayes.af import (
     ENUMERATION_CAP,
     SEMANTICS,
@@ -13,6 +14,7 @@ from argbayes.af import (
     _extensions_cached,
     extension_matrix,
     extensions,
+    extensions_for_attacks,
     mask_of,
 )
 from argbayes.errors import CapacityError, InputError
@@ -98,7 +100,7 @@ def test_batched_kernel_matches_single_kernel_and_oracle(batch):
         assert matrix.shape == (len(frameworks), 1 << n)
         for row, pairs in zip(matrix, frameworks):
             got = tuple(np.flatnonzero(row).tolist())
-            assert got == _extensions_cached(n, tuple(pairs), semantics)
+            assert got == extensions_for_attacks(n, tuple(pairs), semantics)
             assert set(got) == {to_mask(s) for s in
                                 brute_extensions(n, frozenset(pairs), semantics)}
 
@@ -150,6 +152,10 @@ def test_batched_kernel_matches_the_per_argument_loop(batch):
         expected = loop_extension_matrix(att_from, semantics)
         got = extension_matrix(att_from, semantics)
         assert got.dtype == bool and np.array_equal(got, expected), semantics
+    # one call for several names shares its stages and gives each name its matrix
+    for names in (SEMANTICS, SEMANTICS[::-1], ("stable",), ("preferred", "grounded")):
+        for semantics, got in zip(names, extension_matrix(att_from, names), strict=True):
+            assert np.array_equal(got, loop_extension_matrix(att_from, semantics)), names
 
 
 FULL16 = (1 << 16) - 1
@@ -310,6 +316,26 @@ class TestExtensions:
     def test_unknown_semantics_rejected(self):
         with pytest.raises(InputError):
             extensions(af_of(2, []), "semistable")
+
+    def test_all_four_semantics_share_one_kernel_call(self, monkeypatch):
+        calls = []
+        kernel = af_module.extension_matrix
+        monkeypatch.setattr(af_module, "extension_matrix",
+                            lambda *args: calls.append(args) or kernel(*args))
+        fw = af_of(9, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 3), (5, 6)])
+        _extensions_cached.cache_clear()
+        got = {semantics: extensions(fw, semantics) for semantics in SEMANTICS}
+        info = _extensions_cached.cache_info()
+        assert (info.misses, info.hits, len(calls)) == (1, 3, 1)
+        for semantics in SEMANTICS:
+            assert set(got[semantics]) == {
+                to_mask(s) for s in brute_extensions(9, fw.attacks, semantics)}
+        with pytest.raises(InputError):
+            extensions(fw, "semistable")
+        with pytest.raises(InputError):
+            extensions_for_attacks(9, tuple(fw.attacks), "ideal")
+        with pytest.raises(CapacityError):
+            extensions_for_attacks(ENUMERATION_CAP + 1, (), "grounded")
 
 
 @pytest.mark.parametrize("semantics", ["grounded", "complete", "preferred", "stable"])

@@ -274,6 +274,16 @@ class TestSynth:
         assert run(["synth", flag, "-2", "--seed", "1"]) == 2
         assert name in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n_args", ["-2", "0", "7"])
+    def test_framework_ignores_n_args(self, n_args, capsys):
+        # the framework fixes the argument count, so --n-args has no effect
+        argv = ["synth", "--framework", str(DATA / "triangle.json"),
+                "--mode", "symmetric", "--n-obs", "20", "--seed", "3"]
+        assert run(argv) == 0
+        expected = capsys.readouterr().out.splitlines()
+        assert run(argv + ["--n-args", n_args]) == 0
+        assert capsys.readouterr().out.splitlines() == expected
+
 
 class TestDemo:
     def test_all_cases_pass(self, capsys):
