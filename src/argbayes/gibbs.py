@@ -2,12 +2,14 @@
 
 Each sweep resamples every free variable in lexicographic order from its full
 conditional (prior factor times the likelihood of all observations, with all
-other bits at their freshest values). The chain starts from a uniform draw
-of the free bits, or, when that has zero mass, from a prior draw of finite
-mass (``_start``). A sweep runs in windows of L free variables: the 2^L - 1
-states a window's updates can reach are scored in one batch before them. One
-assignment is recorded per sweep; samples after the burn-in form the
-histogram. Seeding uses numpy SeedSequence, with per-chain substreams so
+other bits at their freshest values). A chain's state is one int, variable i
+of m at bit m - 1 - i; clamped bits are set at the start and never flipped.
+The chain starts from a uniform draw of the free bits, or, when that has zero
+mass, from a prior draw of finite mass (``_start``). A sweep runs in windows
+of L free variables: the 2^L - 1 states ``state ^ subset`` of the window's
+bits that its updates can reach are scored in one batch before them. One
+state is recorded per sweep; those after the burn-in form the histogram of
+bit tuples. Seeding uses numpy SeedSequence, with per-chain substreams so
 multi-chain runs stay reproducible.
 """
 
@@ -71,38 +73,24 @@ class SampleHistogram:
         return PosteriorDistribution.from_entries(entries, kind="sampled")
 
 
-def gibbs_conditional(m: int, current: Assignment, obs: list[Observation],
-                      space: AttackVariableSpace, cfg: model.ModelConfig,
-                      memo: dict[Assignment, list[float]] | None = None
-                      ) -> tuple[float, float]:
-    """Normalized (p0, p1) for variable m given all other bits of ``current``.
-
-    ``memo`` maps assignments to their likelihood terms: a state found there
-    is not scored again, and a newly scored state is added to it.
-    """
-    if m in {i for i, _ in space.clamps}:
-        raise InputError(f"variable {m} is clamped and cannot be resampled")
-    memo = {} if memo is None else memo
+def gibbs_conditional(m: int, space: AttackVariableSpace, terms0: list[float],
+                      terms1: list[float]) -> tuple[float, float]:
+    """Normalized (p0, p1) for variable m, given the likelihood terms of the
+    assignments with m at 0 and at 1, each added to the log prior in
+    observation order."""
     lam = space.priors[m]
     logp = [math.log(1 - lam) if lam < 1 else -math.inf,
             math.log(lam) if lam > 0 else -math.inf]
-    for b in (0, 1):
-        if logp[b] == -math.inf:
-            continue
-        att_b = current[:m] + (b,) + current[m + 1:]
-        terms = memo.get(att_b)
-        if terms is None:
-            terms = memo[att_b] = acceptability_likelihood(obs, att_b, space, cfg)
+    for b, terms in enumerate((terms0, terms1)):
         for t in terms:
             logp[b] += t
     if logp[0] == -math.inf and logp[1] == -math.inf:
         raise DegenerateEvidenceError(
             f"both values of variable {m} have zero conditional mass")
-    if logp[0] == -math.inf:
-        return 0.0, 1.0
-    if logp[1] == -math.inf:
-        return 1.0, 0.0
-    p1 = 1.0 / (1.0 + math.exp(logp[0] - logp[1]))
+    try:  # exp(-inf) = 0 gives p1 = 1; exp(inf) or above the float range, p1 = 0
+        p1 = 1.0 / (1.0 + math.exp(logp[0] - logp[1]))
+    except OverflowError:
+        p1 = 0.0
     return 1.0 - p1, p1
 
 
@@ -143,40 +131,45 @@ def _window_depth(n: int) -> int:
     return 3 if n <= 11 else 1
 
 
-def _run_chain(obs, space, cfg, iterations, burn_in, rng):
-    free = space.free_indices
-    state, terms = _start(obs, space, cfg, rng)
+def _rows(states: list[int], m: int) -> np.ndarray:
+    """Bit rows [len(states), m] of int states, variable i from bit m - 1 - i."""
+    pad = -m % 8
+    raw = b"".join((s << pad).to_bytes((m + pad) // 8, "big") for s in states)
+    return np.unpackbits(np.frombuffer(raw, np.uint8).reshape(len(states), -1),
+                         axis=1, count=m)
 
-    counts: dict[Assignment, int] = {}
-    seen: set[Assignment] = set()
+
+def _run_chain(obs, space, cfg, iterations, burn_in, rng):
+    m = len(space.variables)
+    att, terms = _start(obs, space, cfg, rng)
+    state = int("0" + "".join(map(str, att)), 2)
+    counts: dict[int, int] = {}
+    seen: set[int] = set()
     new_flags: list[int] = []
     memo = {state: terms}
-    depth = _window_depth(space.n_args)
-    windows = [free[lo:lo + depth] for lo in range(0, len(free), depth)]
+    free, depth = space.free_indices, _window_depth(space.n_args)
+    windows = [[(i, 1 << (m - 1 - i)) for i in free[lo:lo + depth]]
+               for lo in range(0, len(free), depth)]
     for it in range(1, iterations + 1):
         for window in windows:
             if len(memo) >= 1 << 12:  # bounds the terms one chain keeps
                 memo = {state: memo[state]}
-            # the states the window's updates can reach: state ^ X, X a subset
             reach = {state}
-            for m in window:
-                reach |= {s[:m] + (1 - s[m],) + s[m + 1:] for s in reach}
+            for _, bit in window:
+                reach |= {s ^ bit for s in reach}
             new = [s for s in reach if s not in memo]
             if new:
-                scored = likelihood_terms(obs, np.array(new, dtype=np.uint8), space, cfg)
+                scored = likelihood_terms(obs, _rows(new, m), space, cfg)
                 memo.update(zip(new, scored.tolist()))
-            for m in window:
-                _, p1 = gibbs_conditional(m, state, obs, space, cfg, memo)
-                bit = 1 if rng.random() < p1 else 0
-                state = state[:m] + (bit,) + state[m + 1:]
-        if state in seen:
-            new_flags.append(0)
-        else:
-            seen.add(state)
-            new_flags.append(1)
+            for i, bit in window:
+                _, p1 = gibbs_conditional(i, space, memo[state & ~bit], memo[state | bit])
+                state = state | bit if rng.random() < p1 else state & ~bit
+        new_flags.append(int(state not in seen))
+        seen.add(state)
         if it > burn_in:
             counts[state] = counts.get(state, 0) + 1
-    return counts, new_flags
+    keys = map(tuple, _rows(list(counts), m).tolist())
+    return dict(zip(keys, counts.values())), new_flags
 
 
 def run_gibbs(obs: list[Observation], space: AttackVariableSpace,

@@ -261,11 +261,6 @@ def acceptability_likelihood(obs: list[Observation], att: Assignment,
     return terms[:terms.index(-math.inf) + 1] if -math.inf in terms else terms
 
 
-def attack_prior_log(att: Assignment, space: AttackVariableSpace) -> float:
-    """Log prior: product of Bernoulli(lambda_m) factors over unclamped variables."""
-    return float(_log_prior(space.check(att), space)[0])
-
-
 def joint_log_likelihood(obs: list[Observation], att: Assignment,
                          space: AttackVariableSpace, cfg: model.ModelConfig) -> float:
     """Weighted log product of acceptability likelihoods; -inf on any zero factor."""

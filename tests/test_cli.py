@@ -119,6 +119,18 @@ class TestGibbs:
         for name in ("histogram.csv", "trace.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_evidence_beyond_the_float_range(self, tmp_path):
+        # 3000 votes make one value's conditional odds overflow a float; the
+        # chain keeps to the assignment exact inference gives all the mass
+        rows = ["participant,a,b,c"] + [f"p{i},1,0,0" for i in range(1500)] \
+            + [f"q{i},0,1,1" for i in range(1500)]
+        votes = write(tmp_path, "heavy.csv", "\n".join(rows) + "\n")
+        assert run(["posterior", "--votes", votes, "--out-dir", str(tmp_path / "p")]) == 0
+        assert "110,1.0" in (tmp_path / "p" / "posterior.csv").read_text().splitlines()
+        assert run(["gibbs", "--votes", votes, "--iterations", "500", "--burn-in", "50",
+                    "--out-dir", str(tmp_path / "g")]) == 0
+        assert (tmp_path / "g" / "histogram.csv").read_text().splitlines()[1:] == ["110,1.0"]
+
     def test_seed_reported_and_changes_output(self, votes3, tmp_path):
         base = ["gibbs", "--votes", votes3, "--mode", "symmetric",
                 "--family", "exponential", "--w", "2",

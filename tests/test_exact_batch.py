@@ -24,7 +24,6 @@ from argbayes.inference import (
     Observation,
     PosteriorDistribution,
     acceptability_likelihood,
-    attack_prior_log,
     evidence,
     exact_posterior,
     joint_log_likelihood,
@@ -216,7 +215,8 @@ def test_masses_posterior_and_estimates(problem):
     space, cfg, obs = problem
     masses = ref_log_masses(obs, space, cfg)
     assert list(unnormalized_log_masses(obs, space, cfg).items()) == list(masses.items())
-    assert all(attack_prior_log(att, space) == ref_prior_log(att, space) for att in masses)
+    assert unnormalized_log_masses([], space, cfg) == \
+        {att: ref_prior_log(att, space) for att in masses}
     assert map_estimate(obs, space, cfg) == ref_argmax_set(masses)
     ml = {att: joint_log_likelihood(obs, att, space, cfg) for att in masses}
     assert ml_estimate(obs, space, cfg) == ref_argmax_set(ml)

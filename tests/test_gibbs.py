@@ -8,7 +8,8 @@ from argbayes.af import SEMANTICS
 from argbayes.errors import DegenerateEvidenceError, InputError
 from argbayes.gibbs import GibbsConfig, convergence_trace, gibbs_conditional, run_gibbs
 from argbayes.harness import sample_observations
-from argbayes.inference import AttackVariableSpace, Observation, exact_posterior
+from argbayes.inference import (AttackVariableSpace, Observation, exact_posterior,
+                                likelihood_terms)
 from argbayes.model import FAMILIES, ModelConfig
 
 CFG = ModelConfig(semantics="complete", family="exponential", w=2.0)
@@ -22,6 +23,14 @@ def sym3(priors=0.5, clamps=None):
 def example_obs(cycles):
     return [Observation(1, 1, cycles), Observation(2, 1, cycles),
             Observation(4, 1, cycles)]
+
+
+def conditional(m, att, obs, space, cfg):
+    """``gibbs_conditional`` of variable m given the other bits of ``att``,
+    with both of its values scored through ``likelihood_terms``."""
+    rows = np.array([att, att], dtype=np.uint8)
+    rows[:, m] = (0, 1)
+    return gibbs_conditional(m, space, *likelihood_terms(obs, rows, space, cfg).tolist())
 
 
 def total_variation(p, q_entries):
@@ -93,7 +102,7 @@ class TestGibbsConfig:
 class TestConditional:
     def test_no_observations_equals_prior(self):
         space = sym3(priors=(0.3, 0.5, 0.5))
-        assert gibbs_conditional(0, (0, 0, 0), [], space, CFG) == pytest.approx((0.7, 0.3))
+        assert conditional(0, (0, 0, 0), [], space, CFG) == pytest.approx((0.7, 0.3))
 
     def test_constant_theta_factor_cancels(self):
         # {a,b,c} acceptable: theta varies, but a subset whose theta is equal
@@ -103,20 +112,20 @@ class TestConditional:
         # theta for d={c} does not depend on the {a,b} variable when the
         # other bits are fixed at (.,1,1): extensions differ but agreement max
         # must be computed; instead verify the normalization property
-        p0, p1 = gibbs_conditional(0, (0, 1, 1), [Observation(4, 1)], space, CFG)
+        p0, p1 = conditional(0, (0, 1, 1), [Observation(4, 1)], space, CFG)
         assert p0 + p1 == pytest.approx(1.0)
 
     def test_single_observation_hand_value(self):
         # one observation ({a},1), other bits 0: masses prop. to
         # (0.5 * 1/7, 0.5 * 3/7) -> (0.25, 0.75)
         space = sym3()
-        p0, p1 = gibbs_conditional(0, (0, 0, 0), [Observation(1, 1)], space, CFG)
+        p0, p1 = conditional(0, (0, 0, 0), [Observation(1, 1)], space, CFG)
         assert (p0, p1) == pytest.approx((0.25, 0.75))
 
-    def test_clamped_variable_rejected(self):
-        space = sym3(clamps={1: 0})
-        with pytest.raises(InputError):
-            gibbs_conditional(1, (0, 0, 0), [], space, CFG)
+    @pytest.mark.parametrize("d, want", [(800.0, (1.0, 0.0)), (-800.0, (0.0, 1.0))])
+    def test_log_odds_beyond_float_range(self, d, want):
+        # exp(800) overflows a float: the far likelier value takes all the mass
+        assert gibbs_conditional(0, sym3(), [d], [0.0]) == want
 
     def test_degenerate_conditional(self):
         cfg = ModelConfig(family="deterministic", w=None,
@@ -124,7 +133,7 @@ class TestConditional:
         space = AttackVariableSpace.create(2, mode="symmetric")
         obs = [Observation(0, 1), Observation(3, 1)]
         with pytest.raises(DegenerateEvidenceError):
-            gibbs_conditional(0, (0,), obs, space, cfg)
+            conditional(0, (0,), obs, space, cfg)
 
 
 class TestRunGibbs:

@@ -10,7 +10,6 @@ from argbayes.inference import (
     AttackVariableSpace,
     Observation,
     PosteriorDistribution,
-    attack_prior_log,
     evidence,
     exact_posterior,
     joint_log_likelihood,
@@ -88,24 +87,27 @@ class TestSpace:
 
 
 class TestPrior:
+    # with no observations, the unnormalized log mass is the log prior
     def test_uniform(self):
         space = sym3()
+        prior = unnormalized_log_masses([], space, CFG)
         for att in space.assignments():
-            assert math.exp(attack_prior_log(att, space)) == pytest.approx(0.125)
+            assert math.exp(prior[att]) == pytest.approx(0.125)
 
     def test_product_of_lambdas(self):
-        space = sym3(priors=(0.1, 0.15, 0.2))
-        assert math.exp(attack_prior_log((1, 1, 1), space)) == pytest.approx(0.003)
-        assert math.exp(attack_prior_log((0, 0, 0), space)) == pytest.approx(0.9 * 0.85 * 0.8)
+        prior = unnormalized_log_masses([], sym3(priors=(0.1, 0.15, 0.2)), CFG)
+        assert math.exp(prior[(1, 1, 1)]) == pytest.approx(0.003)
+        assert math.exp(prior[(0, 0, 0)]) == pytest.approx(0.9 * 0.85 * 0.8)
 
     def test_clamped_variable_contributes_factor_one(self):
         space = sym3(priors=(0.1, 0.5, 0.5), clamps={0: 1})
-        assert math.exp(attack_prior_log((1, 0, 0), space)) == pytest.approx(0.25)
+        assert math.exp(unnormalized_log_masses([], space, CFG)[(1, 0, 0)]) == \
+            pytest.approx(0.25)
 
     def test_sums_to_one(self):
         space = sym3(priors=(0.3, 0.6, 0.9))
-        assert sum(math.exp(attack_prior_log(a, space))
-                   for a in space.assignments()) == pytest.approx(1.0)
+        prior = unnormalized_log_masses([], space, CFG)
+        assert sum(math.exp(prior[a]) for a in space.assignments()) == pytest.approx(1.0)
 
 
 class TestJointLikelihood:
@@ -145,8 +147,9 @@ class TestExactPosterior:
     def test_no_observations_returns_prior(self):
         space = sym3(priors=(0.1, 0.15, 0.2))
         post = exact_posterior([], space, CFG)
+        prior = unnormalized_log_masses([], space, CFG)
         for att in space.assignments():
-            assert post.prob(att) == pytest.approx(math.exp(attack_prior_log(att, space)))
+            assert post.prob(att) == pytest.approx(math.exp(prior[att]))
 
     def test_single_observation_masses(self):
         # one observation ({a},1), uniform priors: unnormalized masses

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from argbayes import af, inference, model
 from argbayes.errors import DegenerateEvidenceError
 from argbayes.gibbs import START_DRAWS, GibbsConfig, gibbs_conditional, run_gibbs
-from argbayes.inference import AttackVariableSpace, Observation, joint_log_likelihood
+from argbayes.inference import (AttackVariableSpace, Observation, joint_log_likelihood,
+                                likelihood_terms)
 
 
 def reference_log_terms(obs, att, space, cfg):
@@ -102,8 +103,10 @@ def test_likelihood_matches_per_observation_reference(problem):
             want = reference_conditional(m, att, obs, space, cfg)
         except DegenerateEvidenceError:
             want = DegenerateEvidenceError
+        rows = np.array([att, att], dtype=np.uint8)
+        rows[:, m] = (0, 1)
         try:
-            got = gibbs_conditional(m, att, obs, space, cfg)
+            got = gibbs_conditional(m, space, *likelihood_terms(obs, rows, space, cfg).tolist())
         except DegenerateEvidenceError:
             got = DegenerateEvidenceError
         assert got == want
@@ -178,6 +181,8 @@ def chains(draw):
 
 # 5 free variables: a window of 3, then a partial window of 2
 PARTIAL = AttackVariableSpace.create(4, mode="symmetric", priors=0.3, clamps={4: 1})
+# 66 variables, more than a 64-bit word holds, with the first and last clamped
+WIDE = AttackVariableSpace.create(12, mode="symmetric", clamps={0: 1, 65: 1})
 
 
 @settings(max_examples=60, deadline=None)
@@ -187,6 +192,8 @@ PARTIAL = AttackVariableSpace.create(4, mode="symmetric", priors=0.3, clamps={4:
           model.ModelConfig(), GibbsConfig(40, 10, seed=8)))
 @example(([Observation(3, 1, 2), Observation(5, 0), Observation(3, 0)],
           PARTIAL, model.ModelConfig(), GibbsConfig(20, 4, seed=1, chains=2)))
+@example(([Observation(0b11, 0), Observation(0b100000000101, 1, 2), Observation(4095, 1)],
+          WIDE, model.ModelConfig(), GibbsConfig(3, 1, seed=2, chains=2)))
 @example((CYCLE_OBS, CYCLE, STABLE, GibbsConfig(6, 1, seed=3)))
 @example((CYCLE_OBS[:2], CYCLE, DETERMINISTIC, GibbsConfig(6, 1, seed=5)))
 def test_chain_matches_per_observation_reference(problem):
