@@ -106,8 +106,12 @@ def extensions(af: ArgumentationFramework, semantics: str) -> tuple[int, ...]:
 
 def extensions_for_attacks(n: int, attacks: tuple[tuple[int, int], ...],
                            semantics: str) -> tuple[int, ...]:
-    """Cached enumeration entry point keyed directly by the attack relation."""
-    return _lookup(n, tuple(sorted(attacks)), semantics)
+    """Cached enumeration entry point keyed directly by the attack relation;
+    InputError for a negative n or a pair outside range(n)."""
+    key = tuple(sorted(attacks))
+    if n < 0 or any(not 0 <= x < n for pair in key for x in pair):
+        raise InputError(f"attacks {key} are not pairs of arguments in range({n})")
+    return _lookup(n, key, semantics)
 
 
 @lru_cache(maxsize=None)

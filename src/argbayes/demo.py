@@ -14,11 +14,10 @@ from fractions import Fraction
 from .inference import (
     AttackVariableSpace,
     Observation,
+    _exact_scores,
     exact_posterior,
-    joint_log_likelihood,
     ml_estimate,
-    theta,
-    unnormalized_log_masses,
+    subset_thetas,
 )
 from .model import ModelConfig
 
@@ -103,13 +102,14 @@ def check_parameter_table(w: float = 2.0) -> list[CheckLine]:
         cfg = ModelConfig(semantics="complete", family=family, w=w)
         worst = 0.0
         for att in ASSIGNMENT_ORDER:
+            thetas = subset_thetas(att, space, cfg)
             for pos, d in enumerate(SUBSET_ORDER):
                 s = AGREEMENT_TABLE[att][pos]
                 if family == "linear":
                     expected = s / 3
                 else:
                     expected = (w ** s - 1) / (w ** 3 - 1)
-                worst = max(worst, abs(theta(d, att, space, cfg) - expected))
+                worst = max(worst, abs(thetas[d] - expected))
         lines.append(CheckLine(
             f"{family} parameter table (64 entries, w={w})",
             worst < TOLERANCE, f"max |delta| = {worst:.2e}"))
@@ -124,14 +124,16 @@ def check_sequential_update(priors=FIGURE3_PRIORS, w: float = 2.0) -> list[Check
     obs_stream = [Observation(1, 1), Observation(2, 1), Observation(4, 1)]
     lines = []
     for k in (1, 2, 3):
-        masses = unnormalized_log_masses(obs_stream[:k], space, cfg)
+        bits, log_prior, ll, _ = _exact_scores(obs_stream[:k], space, cfg)
+        exponents = dict(zip(ASSIGNMENT_ORDER, SEQUENTIAL_MASS_EXPONENTS[k]))
         worst = 0.0
-        for att, (e17, e37) in zip(ASSIGNMENT_ORDER, SEQUENTIAL_MASS_EXPONENTS[k]):
+        for att, log_mass in zip(map(tuple, bits.tolist()), (log_prior + ll).tolist()):
+            e17, e37 = exponents[att]
             prior = 1.0
             for bit, lam in zip(att, space.priors):
                 prior *= lam if bit else 1 - lam
             expected = (1 / 7) ** e17 * (3 / 7) ** e37 * prior
-            got = math.exp(masses[att])
+            got = math.exp(log_mass)
             worst = max(worst, abs(got - expected))
         lines.append(CheckLine(
             f"sequential posterior masses after {k} observation(s)",
@@ -159,10 +161,10 @@ def check_two_arg_ml(w: float = 2.0) -> list[CheckLine]:
     cfg = ModelConfig(semantics="complete", family="exponential", w=w)
     obs = [Observation(0, 1), Observation(3, 1)]
     lines = []
+    bits, _, ll, _ = _exact_scores(obs, space, cfg)
     worst = 0.0
-    for att, expected in TWO_ARG_LIKELIHOODS.items():
-        got = math.exp(joint_log_likelihood(obs, att, space, cfg))
-        worst = max(worst, abs(got - float(expected)))
+    for att, log_lik in zip(map(tuple, bits.tolist()), ll.tolist()):
+        worst = max(worst, abs(math.exp(log_lik) - float(TWO_ARG_LIKELIHOODS[att])))
     lines.append(CheckLine("two-argument joint likelihoods (0, 1/9, 1/9, 1/3)",
                            worst < TOLERANCE, f"max |delta| = {worst:.2e}"))
     estimates = ml_estimate(obs, space, cfg)

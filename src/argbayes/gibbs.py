@@ -78,9 +78,7 @@ def gibbs_conditional(m: int, space: AttackVariableSpace, terms0: list[float],
     """Normalized (p0, p1) for variable m, given the likelihood terms of the
     assignments with m at 0 and at 1, each added to the log prior in
     observation order."""
-    lam = space.priors[m]
-    logp = [math.log(1 - lam) if lam < 1 else -math.inf,
-            math.log(lam) if lam > 0 else -math.inf]
+    logp = list(space.log_priors[m])
     for b, terms in enumerate((terms0, terms1)):
         for t in terms:
             logp[b] += t

@@ -142,6 +142,12 @@ class AttackVariableSpace:
         return tuple(sorted(pairs))
 
     @cached_property
+    def log_priors(self) -> tuple[tuple[float, float], ...]:
+        """(log(1 - lambda), log lambda) per variable; -inf for a zero factor."""
+        return tuple(tuple(math.log(p) if p else -math.inf for p in (1.0 - lam, lam))
+                     for lam in self.priors)
+
+    @cached_property
     def attack_weights(self) -> np.ndarray:
         """Read-only int64 [m, n] whose row i holds the attack-mask bits that
         variable i sets: bit rows ``@`` it are their frameworks' attack masks."""
@@ -225,17 +231,6 @@ class PosteriorDistribution:
         return self.entries.get(att, 0.0)
 
 
-def theta(d: int, att: Assignment, space: AttackVariableSpace,
-          cfg: model.ModelConfig, family: str | None = None) -> float:
-    """Acceptability parameter for subset d under the framework of ``att``;
-    InputError for d outside [0, 2^n)."""
-    space.check(att)
-    fam = family or cfg.family
-    w = cfg.w if fam == "exponential" else None
-    return model.theta_for_attacks(d, space.n_args, space.attacks_of(att),
-                                   cfg.semantics, fam, w)
-
-
 def likelihood_terms(obs: list[Observation], bits: np.ndarray,
                      space: AttackVariableSpace, cfg: model.ModelConfig) -> np.ndarray:
     """``weight * log p(label | subset)`` of each observation [S] under the
@@ -259,12 +254,6 @@ def acceptability_likelihood(obs: list[Observation], att: Assignment,
     """``likelihood_terms`` of one assignment, as a list cut after a zero factor."""
     terms = likelihood_terms(obs, space.check(att), space, cfg)[0].tolist()
     return terms[:terms.index(-math.inf) + 1] if -math.inf in terms else terms
-
-
-def joint_log_likelihood(obs: list[Observation], att: Assignment,
-                         space: AttackVariableSpace, cfg: model.ModelConfig) -> float:
-    """Weighted log product of acceptability likelihoods; -inf on any zero factor."""
-    return _ordered_sum(acceptability_likelihood(obs, att, space, cfg))
 
 
 def _ordered_sum(terms) -> float:
@@ -336,16 +325,15 @@ def _log_prior(bits: np.ndarray, space: AttackVariableSpace) -> np.ndarray:
     """Log prior of every bit row, adding factors in variable order."""
     lp = np.zeros(len(bits))
     for i in space.free_indices:
-        lam = space.priors[i]
-        log0, log1 = (math.log(p) if p else -math.inf for p in (1.0 - lam, lam))
+        log0, log1 = space.log_priors[i]
         lp += np.where(bits[:, i] == 1, log1, log0)
     return lp
 
 
 def _log_likelihood(obs: list[Observation], dist: np.ndarray,
                     space: AttackVariableSpace, cfg: model.ModelConfig) -> np.ndarray:
-    """``joint_log_likelihood`` per row of the observations' distances,
-    adding one observation's column at a time."""
+    """Ordered sum of ``likelihood_terms`` per row of the observations'
+    distances, adding one observation's column at a time."""
     w = cfg.w if cfg.family == "exponential" else None
     table = model.log_likelihood_table(space.n_args, cfg.family, w)
     ll = np.zeros(len(dist))
@@ -378,14 +366,6 @@ def _exact_scores(obs: list[Observation], space: AttackVariableSpace,
         dist = _columns(memo, space, cfg.semantics, [o.subset for o in obs], lambda: bits)
         ll = _log_likelihood(obs, dist, space, cfg)
     return bits, prior, ll, memo
-
-
-def unnormalized_log_masses(obs: list[Observation], space: AttackVariableSpace,
-                            cfg: model.ModelConfig) -> dict[Assignment, float]:
-    """Log(prior * likelihood) per consistent assignment; -inf where the
-    prior is zero."""
-    bits, prior, ll, _ = _exact_scores(obs, space, cfg)
-    return dict(zip(map(tuple, bits.tolist()), (prior + ll).tolist()))
 
 
 def exact_posterior(obs: list[Observation], space: AttackVariableSpace,
@@ -442,10 +422,10 @@ def evidence(e: int, space: AttackVariableSpace, cfg: model.ModelConfig) -> floa
 
 def subset_thetas(att: Assignment, space: AttackVariableSpace,
                   cfg: model.ModelConfig) -> np.ndarray:
-    """Parameter of every subset mask under the framework of ``att``."""
-    space.check(att)
+    """Parameter of every subset mask under the framework of ``att``, from
+    its distance table as a batch of one of ``_tables``."""
     w = cfg.w if cfg.family == "exponential" else None
-    dist = model._agreement_stats(space.n_args, space.attacks_of(att), cfg.semantics)
+    dist = _tables(space.check(att), space, cfg.semantics)[0]
     return model.theta_table(space.n_args, cfg.family, w)[dist]
 
 

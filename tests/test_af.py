@@ -18,8 +18,8 @@ from argbayes.af import (
     mask_of,
 )
 from argbayes.errors import CapacityError, InputError
-from argbayes.inference import AttackVariableSpace, theta
-from argbayes.model import ModelConfig
+from argbayes.inference import AttackVariableSpace
+from argbayes.model import theta_for_attacks
 
 from oracle import (
     all_directed_relations,
@@ -269,13 +269,25 @@ class TestBasicPredicates:
         assert_matches_oracle(2, [])
         space = AttackVariableSpace.create(2, mode="symmetric")
         with pytest.raises(InputError):
-            theta(1 << 5, (0,), space, ModelConfig())
+            theta_for_attacks(1 << 5, 2, space.attacks_of((0,)), "complete",
+                              "exponential", 2.0)
 
 
 class TestConstruction:
     def test_attack_index_out_of_range(self):
         with pytest.raises(InputError):
             af_of(2, [(0, 5)])
+
+    @pytest.mark.parametrize("n,attacks", [(3, ((0, 5),)), (3, ((5, 0),)), (-1, ())])
+    def test_attack_relation_entry_checks_like_construction(self, n, attacks):
+        # the relation-keyed entry point rejects what ArgumentationFramework does
+        with pytest.raises(InputError):
+            af_of(n, attacks)
+        with pytest.raises(InputError):
+            extensions_for_attacks(n, attacks, "stable")
+        if attacks:  # the model's entry point reaches the check through its table
+            with pytest.raises(InputError):
+                theta_for_attacks(0, n, attacks, "complete", "linear", None)
 
     def test_symmetric_mode_rejects_self_attack(self):
         with pytest.raises(InputError):

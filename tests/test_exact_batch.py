@@ -1,10 +1,10 @@
 """Batched exact inference against a per-assignment reference.
 
 The reference enumerates the assignments itself, scores each one through its
-own prior loop and the scalar functions (``joint_log_likelihood``, ``theta``,
-``acceptability_likelihood``), and normalizes, sums and maximizes over a dict
-in assignment order, so ``==`` checks that scoring all frameworks of a space
-in one array pass changes no bit of any output.
+own prior loop, the ordered sum of its ``acceptability_likelihood`` terms and
+the scalar ``model.theta_for_attacks``, and normalizes, sums and maximizes
+over a dict in assignment order, so ``==`` checks that scoring all frameworks
+of a space in one array pass changes no bit of any output.
 """
 
 import itertools
@@ -26,13 +26,10 @@ from argbayes.inference import (
     acceptability_likelihood,
     evidence,
     exact_posterior,
-    joint_log_likelihood,
     map_estimate,
     ml_estimate,
     posterior_predictive,
     sequential_update,
-    theta,
-    unnormalized_log_masses,
 )
 
 
@@ -42,6 +39,17 @@ def ref_assignments(space):
         att = dict(space.clamps)
         att.update(zip(free, bits))
         yield tuple(att[i] for i in range(len(space.variables)))
+
+
+def ref_joint(obs, att, space, cfg):
+    return inference._ordered_sum(acceptability_likelihood(obs, att, space, cfg))
+
+
+def ref_theta(e, att, space, cfg, family=None):
+    fam = family or cfg.family
+    w = cfg.w if fam == "exponential" else None
+    return model.theta_for_attacks(e, space.n_args, space.attacks_of(att),
+                                   cfg.semantics, fam, w)
 
 
 def ref_prior_log(att, space):
@@ -62,7 +70,7 @@ def ref_log_masses(obs, space, cfg):
     for att in ref_assignments(space):
         lp = ref_prior_log(att, space)
         if lp > -math.inf:
-            lp += joint_log_likelihood(obs, att, space, cfg)
+            lp += ref_joint(obs, att, space, cfg)
         out[att] = lp
     return out
 
@@ -124,7 +132,7 @@ def ref_evidence(e, space, cfg):
     for att in ref_assignments(space):
         p = math.exp(ref_prior_log(att, space))
         if p:
-            total += p * theta(e, att, space, cfg)
+            total += p * ref_theta(e, att, space, cfg)
     return total
 
 
@@ -144,7 +152,7 @@ def ref_predictive(e, entries, space, cfg, family=None):
     total = 0.0
     for att, p in entries.items():
         if p:
-            total += p * theta(e, att, space, cfg, family=fam)
+            total += p * ref_theta(e, att, space, cfg, family=fam)
     return total
 
 
@@ -214,11 +222,12 @@ EMPTY = AttackVariableSpace.create(0, mode="directed")
 def test_masses_posterior_and_estimates(problem):
     space, cfg, obs = problem
     masses = ref_log_masses(obs, space, cfg)
-    assert list(unnormalized_log_masses(obs, space, cfg).items()) == list(masses.items())
-    assert unnormalized_log_masses([], space, cfg) == \
-        {att: ref_prior_log(att, space) for att in masses}
+    bits, prior, ll, _ = inference._exact_scores(obs, space, cfg)
+    assert list(zip(map(tuple, bits.tolist()), (prior + ll).tolist())) == \
+        list(masses.items())
+    assert prior.tolist() == [ref_prior_log(att, space) for att in masses]
     assert map_estimate(obs, space, cfg) == ref_argmax_set(masses)
-    ml = {att: joint_log_likelihood(obs, att, space, cfg) for att in masses}
+    ml = {att: ref_joint(obs, att, space, cfg) for att in masses}
     assert ml_estimate(obs, space, cfg) == ref_argmax_set(ml)
     got = outcome(lambda: list(exact_posterior(obs, space, cfg).entries.items()))
     want = outcome(lambda: list(ref_normalize(masses).items()))

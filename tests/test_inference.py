@@ -1,26 +1,27 @@
 import itertools
 import math
 import re
+from dataclasses import replace
 
 import pytest
 
+from argbayes import inference
 from argbayes.af import extensions_for_attacks
 from argbayes.errors import CapacityError, DegenerateEvidenceError, InputError
 from argbayes.inference import (
     AttackVariableSpace,
     Observation,
     PosteriorDistribution,
+    acceptability_likelihood,
     evidence,
     exact_posterior,
-    joint_log_likelihood,
     map_estimate,
     merge_observations,
     ml_estimate,
     ml_prediction,
     posterior_predictive,
     sequential_update,
-    theta,
-    unnormalized_log_masses,
+    subset_thetas,
 )
 from argbayes.model import ModelConfig
 
@@ -36,6 +37,17 @@ def sym3(priors=0.5, clamps=None):
 
 def dir_space(n, priors=0.5):
     return AttackVariableSpace.create(n, mode="directed", priors=priors)
+
+
+def log_prior(space):
+    """Log prior per assignment, from the exact path's ``_log_prior``."""
+    bits = space.assignment_bits()
+    return dict(zip(map(tuple, bits.tolist()), inference._log_prior(bits, space).tolist()))
+
+
+def joint(obs, att, space):
+    """Joint log likelihood: the ordered sum of an assignment's terms."""
+    return inference._ordered_sum(acceptability_likelihood(obs, att, space, CFG))
 
 
 class TestSpace:
@@ -87,50 +99,47 @@ class TestSpace:
 
 
 class TestPrior:
-    # with no observations, the unnormalized log mass is the log prior
     def test_uniform(self):
         space = sym3()
-        prior = unnormalized_log_masses([], space, CFG)
+        prior = log_prior(space)
         for att in space.assignments():
             assert math.exp(prior[att]) == pytest.approx(0.125)
 
     def test_product_of_lambdas(self):
-        prior = unnormalized_log_masses([], sym3(priors=(0.1, 0.15, 0.2)), CFG)
+        prior = log_prior(sym3(priors=(0.1, 0.15, 0.2)))
         assert math.exp(prior[(1, 1, 1)]) == pytest.approx(0.003)
         assert math.exp(prior[(0, 0, 0)]) == pytest.approx(0.9 * 0.85 * 0.8)
 
     def test_clamped_variable_contributes_factor_one(self):
         space = sym3(priors=(0.1, 0.5, 0.5), clamps={0: 1})
-        assert math.exp(unnormalized_log_masses([], space, CFG)[(1, 0, 0)]) == \
-            pytest.approx(0.25)
+        assert math.exp(log_prior(space)[(1, 0, 0)]) == pytest.approx(0.25)
 
     def test_sums_to_one(self):
         space = sym3(priors=(0.3, 0.6, 0.9))
-        prior = unnormalized_log_masses([], space, CFG)
+        prior = log_prior(space)
         assert sum(math.exp(prior[a]) for a in space.assignments()) == pytest.approx(1.0)
 
 
 class TestJointLikelihood:
     def test_empty_observations(self):
-        assert joint_log_likelihood([], (0, 0, 0), sym3(), CFG) == 0.0
+        assert joint([], (0, 0, 0), sym3()) == 0.0
 
     def test_two_argument_mutual_attack(self):
         space = AttackVariableSpace.create(2, mode="symmetric")
         obs = [Observation(0, 1), Observation(3, 1)]
-        assert joint_log_likelihood(obs, (1,), space, CFG) == pytest.approx(math.log(1 / 3))
+        assert joint(obs, (1,), space) == pytest.approx(math.log(1 / 3))
 
     def test_zero_factor_gives_minus_inf(self):
         space = AttackVariableSpace.create(2, mode="symmetric")
         obs = [Observation(0, 1), Observation(3, 1)]
-        assert joint_log_likelihood(obs, (0,), space, CFG) == -math.inf
+        assert joint(obs, (0,), space) == -math.inf
 
     def test_weight_multiplies(self):
         space = sym3()
         obs1 = [Observation(1, 1, weight=3)]
         obs2 = [Observation(1, 1)] * 3
         for att in space.assignments():
-            assert joint_log_likelihood(obs1, att, space, CFG) == pytest.approx(
-                joint_log_likelihood(obs2, att, space, CFG))
+            assert joint(obs1, att, space) == pytest.approx(joint(obs2, att, space))
 
 
 class TestMergeObservations:
@@ -147,7 +156,7 @@ class TestExactPosterior:
     def test_no_observations_returns_prior(self):
         space = sym3(priors=(0.1, 0.15, 0.2))
         post = exact_posterior([], space, CFG)
-        prior = unnormalized_log_masses([], space, CFG)
+        prior = log_prior(space)
         for att in space.assignments():
             assert post.prob(att) == pytest.approx(math.exp(prior[att]))
 
@@ -155,7 +164,8 @@ class TestExactPosterior:
         # one observation ({a},1), uniform priors: unnormalized masses
         # proportional to (1/7, 3/7, 3/7, 1, 1, 3/7, 3/7, 1) / 8
         space = sym3()
-        masses = unnormalized_log_masses([Observation(1, 1)], space, CFG)
+        bits, prior, ll, _ = inference._exact_scores([Observation(1, 1)], space, CFG)
+        masses = dict(zip(map(tuple, bits.tolist()), (prior + ll).tolist()))
         expected = {
             (0, 0, 0): 1 / 7, (1, 0, 0): 3 / 7, (0, 1, 0): 3 / 7,
             (1, 1, 0): 1.0, (0, 0, 1): 1.0, (1, 0, 1): 3 / 7,
@@ -318,21 +328,22 @@ class TestEvidence:
     def test_hand_enumeration_one_variable(self):
         space = AttackVariableSpace.create(2, mode="symmetric")
         # theta_{a|no attack} = 1/3 (sole extension {a,b}), theta_{a|attack} = 1
-        assert theta(1, (0,), space, CFG) == pytest.approx(1 / 3)
-        assert theta(1, (1,), space, CFG) == pytest.approx(1.0)
+        assert subset_thetas((0,), space, CFG)[1] == pytest.approx(1 / 3)
+        assert subset_thetas((1,), space, CFG)[1] == pytest.approx(1.0)
         assert evidence(1, space, CFG) == pytest.approx(0.5 * 1 / 3 + 0.5 * 1.0)
 
     def test_all_clamped_prior_is_point_mass(self):
         space = sym3(clamps={0: 1, 1: 1, 2: 0})
         att = (1, 1, 0)
+        thetas = subset_thetas(att, space, CFG)
         for e in range(8):
-            assert evidence(e, space, CFG) == pytest.approx(theta(e, att, space, CFG))
+            assert evidence(e, space, CFG) == pytest.approx(thetas[e])
 
     def test_degenerate_zero_prior(self):
         space = sym3(priors=(0.0, 0.0, 0.0))
+        thetas = subset_thetas((0, 0, 0), space, CFG)
         for e in range(8):
-            assert evidence(e, space, CFG) == pytest.approx(
-                theta(e, (0, 0, 0), space, CFG))
+            assert evidence(e, space, CFG) == pytest.approx(thetas[e])
 
 
 class TestMLPrediction:
@@ -364,17 +375,17 @@ class TestMLPrediction:
             labels = ml_prediction(att, space, CFG)
             assert {d for d, l in enumerate(labels) if l} == exts
             # uniqueness of the likelihood maximizer: no subset sits at 0.5
-            for d in range(1 << n):
-                assert theta(d, att, space, CFG) != pytest.approx(0.5, abs=1e-12)
+            for t in subset_thetas(att, space, CFG):
+                assert t != pytest.approx(0.5, abs=1e-12)
 
 
 class TestPosteriorPredictive:
     def test_point_mass(self):
         space = sym3()
         post = PosteriorDistribution.from_entries({(1, 1, 1): 1.0}, kind="exact")
+        thetas = subset_thetas((1, 1, 1), space, replace(CFG, family="linear"))
         for e in range(8):
-            expected = theta(e, (1, 1, 1), space, CFG, family="linear")
-            assert posterior_predictive(e, post, space, CFG) == pytest.approx(expected)
+            assert posterior_predictive(e, post, space, CFG) == pytest.approx(thetas[e])
 
     def test_uniform_mixture_of_zero_and_one(self):
         space = AttackVariableSpace.create(2, mode="symmetric")
@@ -389,7 +400,7 @@ class TestPosteriorPredictive:
         obs = [Observation(1, 1, 20), Observation(2, 1, 20), Observation(4, 1, 20)]
         post = exact_posterior(obs, space, CFG)
         assert posterior_predictive(1, post, space, CFG) == pytest.approx(
-            theta(1, (1, 1, 1), space, CFG, family="linear"), abs=1e-6)
+            subset_thetas((1, 1, 1), space, replace(CFG, family="linear"))[1], abs=1e-6)
 
     def test_prediction_family_override(self):
         space = sym3()

@@ -10,8 +10,8 @@ from argbayes.errors import InputError
 from argbayes.inference import (
     AttackVariableSpace,
     Observation,
-    joint_log_likelihood,
-    theta,
+    acceptability_likelihood,
+    subset_thetas,
 )
 from argbayes.model import (
     ModelConfig,
@@ -70,10 +70,11 @@ class TestAgreement:
         space = AttackVariableSpace.create(2, mode="symmetric")
         for d in (-1, 1 << 2):
             with pytest.raises(InputError):
-                theta(d, (0,), space, ModelConfig())
+                theta_for_attacks(d, 2, space.attacks_of((0,)), "complete",
+                                  "exponential", 2.0)
             with pytest.raises(InputError):
-                joint_log_likelihood([Observation(0, 1), Observation(d, 1)], (0,),
-                                     space, ModelConfig())
+                acceptability_likelihood([Observation(0, 1), Observation(d, 1)], (0,),
+                                         space, ModelConfig())
 
 
 class TestModelConfig:
@@ -104,22 +105,22 @@ class TestModelConfig:
 class TestTheta:
     def test_no_attacks_linear_singleton(self):
         cfg = ModelConfig(family="linear", w=None)
-        assert theta(0b001, (0, 0, 0), space3(), cfg) == pytest.approx(1 / 3)
+        assert subset_thetas((0, 0, 0), space3(), cfg)[0b001] == pytest.approx(1 / 3)
 
     def test_no_attacks_exponential_singleton(self):
         cfg = ModelConfig(family="exponential", w=2.0)
-        assert theta(0b001, (0, 0, 0), space3(), cfg) == pytest.approx(1 / 7)
+        assert subset_thetas((0, 0, 0), space3(), cfg)[0b001] == pytest.approx(1 / 7)
 
     def test_one_attack_exponential_singleton(self):
         cfg = ModelConfig(family="exponential", w=2.0)
-        assert theta(0b001, (1, 0, 0), space3(), cfg) == pytest.approx(3 / 7)
+        assert subset_thetas((1, 0, 0), space3(), cfg)[0b001] == pytest.approx(3 / 7)
 
     def test_deterministic_is_extension_indicator(self):
         cfg = ModelConfig(family="deterministic", w=None,
                           prediction_family="deterministic")
         # no attacks: the only complete extension is everything
-        assert theta(0b111, (0, 0, 0), space3(), cfg) == 1.0
-        assert theta(0b011, (0, 0, 0), space3(), cfg) == 0.0
+        assert subset_thetas((0, 0, 0), space3(), cfg)[0b111] == 1.0
+        assert subset_thetas((0, 0, 0), space3(), cfg)[0b011] == 0.0
 
     def test_empty_extension_set_gives_zero(self):
         # a self-attacker has no stable extension
@@ -199,7 +200,7 @@ class TestLikelihood:
     def test_contradicting_certain_extension(self):
         cfg = ModelConfig(family="deterministic", w=None,
                           prediction_family="deterministic")
-        t = theta(0b111, (0, 0, 0), space3(), cfg)
+        t = subset_thetas((0, 0, 0), space3(), cfg)[0b111]
         assert acceptability_likelihood_value(0, t) == 0.0
 
     def test_bad_label(self):
