@@ -18,8 +18,8 @@ class CapacityError(ArgBayesError):
 
 
 class DegenerateEvidenceError(ArgBayesError):
-    """Total unnormalized posterior mass is zero (deterministic family
-    combined with contradictory observations)."""
+    """Total unnormalized posterior mass is zero: every attack relation of
+    nonzero prior gives some observation a zero likelihood factor."""
 
     exit_code = 4
 

@@ -114,11 +114,11 @@ def _start(obs, space, cfg, rng) -> tuple[Assignment, list[float]]:
 
     bits = rng.integers(0, 2, size=len(free))
     first = scored(bits)
-    if -math.inf not in first[1][-1:] and np.all((0 < lam) & (lam < 1) | (bits == lam)):
+    if -math.inf not in first[1] and np.all((0 < lam) & (lam < 1) | (bits == lam)):
         return first
     for _ in range(START_DRAWS if free else 0):
         drawn = scored(rng.random(len(free)) < lam)
-        if -math.inf not in drawn[1][-1:]:
+        if -math.inf not in drawn[1]:
             return drawn
     return first
 

@@ -235,7 +235,7 @@ def likelihood_terms(obs: list[Observation], bits: np.ndarray,
                      space: AttackVariableSpace, cfg: model.ModelConfig) -> np.ndarray:
     """``weight * log p(label | subset)`` of each observation [S] under the
     framework of each bit row [B, m], as [B, S], from one kernel call per
-    chunk of rows, not cut at a zero factor (-inf). No observations means no
+    chunk of rows; a zero factor is -inf. No observations means no
     enumeration; a subset mask outside [0, 2^n) raises InputError."""
     if not obs:
         return np.zeros((len(bits), 0))
@@ -243,17 +243,15 @@ def likelihood_terms(obs: list[Observation], bits: np.ndarray,
     subsets, labels, weights = np.array([(o.subset, o.label, o.weight) for o in obs]).T
     if (subsets >> n).any():
         raise InputError(f"subset mask outside the {n}-argument space")
-    w = cfg.w if cfg.family == "exponential" else None
     dist = _tables(bits, space, cfg.semantics, subsets)
-    return weights * model.log_likelihood_table(n, cfg.family, w)[labels, dist]
+    return weights * model.log_likelihood_table(n, cfg.family, cfg.w)[labels, dist]
 
 
 def acceptability_likelihood(obs: list[Observation], att: Assignment,
                              space: AttackVariableSpace,
                              cfg: model.ModelConfig) -> list[float]:
-    """``likelihood_terms`` of one assignment, as a list cut after a zero factor."""
-    terms = likelihood_terms(obs, space.check(att), space, cfg)[0].tolist()
-    return terms[:terms.index(-math.inf) + 1] if -math.inf in terms else terms
+    """``likelihood_terms`` of one assignment, as a list."""
+    return likelihood_terms(obs, space.check(att), space, cfg)[0].tolist()
 
 
 def _ordered_sum(terms) -> float:
@@ -269,8 +267,8 @@ def _log_normalize(rows, log_masses: np.ndarray) -> np.ndarray:
     finite = log_masses[log_masses > -math.inf]
     if not finite.size:
         raise DegenerateEvidenceError(
-            "all assignments have zero posterior mass; the observations "
-            "contradict every attack relation under the deterministic family")
+            "all assignments have zero posterior mass: every attack relation "
+            "the prior allows gives some observation zero likelihood")
     unnorm = np.fromiter(map(math.exp, memoryview(log_masses - finite.max())),
                          float, len(rows))
     return unnorm / _ordered_sum(unnorm)
@@ -334,8 +332,7 @@ def _log_likelihood(obs: list[Observation], dist: np.ndarray,
                     space: AttackVariableSpace, cfg: model.ModelConfig) -> np.ndarray:
     """Ordered sum of ``likelihood_terms`` per row of the observations'
     distances, adding one observation's column at a time."""
-    w = cfg.w if cfg.family == "exponential" else None
-    table = model.log_likelihood_table(space.n_args, cfg.family, w)
+    table = model.log_likelihood_table(space.n_args, cfg.family, cfg.w)
     ll = np.zeros(len(dist))
     for j, o in enumerate(obs):
         ll += o.weight * table[o.label][dist[:, j]]
@@ -424,9 +421,8 @@ def subset_thetas(att: Assignment, space: AttackVariableSpace,
                   cfg: model.ModelConfig) -> np.ndarray:
     """Parameter of every subset mask under the framework of ``att``, from
     its distance table as a batch of one of ``_tables``."""
-    w = cfg.w if cfg.family == "exponential" else None
     dist = _tables(space.check(att), space, cfg.semantics)[0]
-    return model.theta_table(space.n_args, cfg.family, w)[dist]
+    return model.theta_table(space.n_args, cfg.family, cfg.w)[dist]
 
 
 def ml_prediction(att: Assignment, space: AttackVariableSpace,
@@ -444,9 +440,8 @@ def posterior_predictive(e: int, post: PosteriorDistribution,
                          family: str | None = None) -> float:
     """p(subset e is acceptable | data): posterior-weighted average of the
     acceptability parameter, by default under the prediction family."""
-    fam = family or cfg.prediction_family
-    w = cfg.w if fam == "exponential" else None
     dist = _columns(post._tables, space, cfg.semantics, [e],
                     lambda: space.check(post.bits))[:, 0]
-    terms = post.probs * model.theta_table(space.n_args, fam, w)[dist]
+    theta = model.theta_table(space.n_args, family or cfg.prediction_family, cfg.w)
+    terms = post.probs * theta[dist]
     return _ordered_sum(terms[post.probs != 0])

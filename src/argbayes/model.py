@@ -56,34 +56,6 @@ class ModelConfig:
                 raise InputError(f"w must be finite and exceed 1, got {self.w}")
 
 
-def _exponential_ratio(s: int, n: int, w: float) -> float:
-    lw = math.log(w)
-    if n * lw < 700.0:
-        return math.expm1(s * lw) / math.expm1(n * lw)
-    # w^n overflows a float; the -1 terms are below resolution
-    return math.exp((s - n) * lw)
-
-
-def theta_value(s_max: int | None, is_extension: bool, n: int,
-                family: str, w: float | None) -> float:
-    """Parameter value from the best agreement count.
-
-    ``s_max`` is None when the framework has no extension at all (possible
-    under stable semantics); all families then return 0.
-    """
-    if s_max is None:
-        return 0.0
-    if family == "deterministic":
-        return 1.0 if is_extension else 0.0
-    if family == "linear":
-        return s_max / n if n else 1.0
-    if family == "exponential":
-        if n == 0:
-            return 1.0
-        return _exponential_ratio(s_max, n, w)
-    raise InputError(f"unknown parameter family {family!r}")
-
-
 @lru_cache(maxsize=None)
 def _flips(n: int) -> tuple[np.ndarray, ...]:
     """Per argument a, the index array mapping each subset mask to the mask
@@ -110,8 +82,9 @@ def _agreement_stats(n: int, attacks: tuple[tuple[int, int], ...],
                      semantics: str) -> np.ndarray:
     """Read-only ``distance_to_extension`` table of one framework.
     ``attacks`` must be sorted, as the cache is keyed by it."""
+    exts = af.extensions_for_attacks(n, attacks, semantics)
     dist = np.full(1 << n, n + 1, dtype=np.int8)
-    dist[list(af.extensions_for_attacks(n, attacks, semantics))] = 0
+    dist[list(exts)] = 0
     dist = distance_to_extension(dist)
     dist.flags.writeable = False
     return dist
@@ -119,10 +92,23 @@ def _agreement_stats(n: int, attacks: tuple[tuple[int, int], ...],
 
 @lru_cache(maxsize=None)
 def theta_table(n: int, family: str, w: float | None) -> np.ndarray:
-    """Read-only parameter value by distance to the nearest extension:
-    0..n, then n + 1 for a framework with no extension."""
-    table = np.array([theta_value(n - k, k == 0, n, family, w) for k in range(n + 1)]
-                     + [theta_value(None, False, n, family, w)])
+    """Read-only parameter value by distance k to the nearest extension:
+    0..n, then 0 at n + 1 for a framework with no extension. Only the
+    exponential family reads ``w``."""
+    if family == "deterministic":
+        values = [1.0] + [0.0] * n
+    elif family == "linear":
+        values = [(n - k) / n if n else 1.0 for k in range(n + 1)]
+    elif family == "exponential":
+        if n == 0:
+            values = [1.0]
+        elif n * (lw := math.log(w)) < 700.0:
+            values = [math.expm1((n - k) * lw) / math.expm1(n * lw) for k in range(n + 1)]
+        else:  # w^n overflows a float; the -1 terms are below resolution
+            values = [math.exp(-k * lw) for k in range(n + 1)]
+    else:
+        raise InputError(f"unknown parameter family {family!r}")
+    table = np.array(values + [0.0])
     table.flags.writeable = False
     return table
 
@@ -130,31 +116,26 @@ def theta_table(n: int, family: str, w: float | None) -> np.ndarray:
 def theta_for_attacks(d: int, n: int, attacks: tuple[tuple[int, int], ...],
                       semantics: str, family: str, w: float | None) -> float:
     """Parameter for subset mask d: its distance in the framework's table,
-    then the parameter at that distance; InputError for d outside [0, 2^n)."""
-    if not 0 <= d < 1 << n:
-        raise InputError(f"subset mask {d} outside the {n}-argument space")
+    then the parameter at that distance; InputError for a relation that
+    ``af.extensions_for_attacks`` rejects or d outside [0, 2^n)."""
     dist = _agreement_stats(n, tuple(sorted(attacks)), semantics)
+    if not 0 <= d < len(dist):
+        raise InputError(f"subset mask {d} outside the {n}-argument space")
     return float(theta_table(n, family, w)[dist[d]])
-
-
-def acceptability_likelihood_value(label: int, theta: float) -> float:
-    """Bernoulli(theta) evaluated at label."""
-    if label not in (0, 1):
-        raise InputError(f"label must be 0 or 1, got {label}")
-    return theta if label == 1 else 1.0 - theta
 
 
 @lru_cache(maxsize=None)
 def log_likelihood_table(n: int, family: str, w: float | None) -> np.ndarray:
-    """log Bernoulli(theta) per label (rows 0 and 1) and distance to the
-    nearest extension (columns 0..n + 1, as in ``theta_table``).
+    """Read-only log Bernoulli(theta) per label (rows 0 and 1) and distance
+    to the nearest extension (columns 0..n + 1, as in ``theta_table``).
 
-    Each entry is ``math.log`` of the scalar factor, -inf for a zero factor,
+    Each entry is ``math.log`` of 1 - theta or theta, -inf for a zero factor,
     so a gathered term equals a per-observation loop's bit for bit.
     """
     def log(p):
         return math.log(p) if p > 0.0 else -math.inf
 
-    return np.array([[log(acceptability_likelihood_value(label, t))
-                      for t in theta_table(n, family, w).tolist()]
-                     for label in (0, 1)])
+    thetas = theta_table(n, family, w).tolist()
+    table = np.array([[log(1.0 - t) for t in thetas], [log(t) for t in thetas]])
+    table.flags.writeable = False
+    return table

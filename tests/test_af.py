@@ -285,9 +285,8 @@ class TestConstruction:
             af_of(n, attacks)
         with pytest.raises(InputError):
             extensions_for_attacks(n, attacks, "stable")
-        if attacks:  # the model's entry point reaches the check through its table
-            with pytest.raises(InputError):
-                theta_for_attacks(0, n, attacks, "complete", "linear", None)
+        with pytest.raises(InputError):  # the model's entry point, through its table
+            theta_for_attacks(0, n, attacks, "complete", "linear", None)
 
     def test_symmetric_mode_rejects_self_attack(self):
         with pytest.raises(InputError):

@@ -98,6 +98,17 @@ class TestPosterior:
                     "--out-dir", str(tmp_path / "o")])
         assert code == 4
 
+    @pytest.mark.parametrize("family", ["linear", "exponential"])
+    def test_degenerate_evidence_message_names_no_other_family(self, family, tmp_path,
+                                                               capsys):
+        # each row is a label-1 vote for {}, at distance n = 1 from {a}, the
+        # one framework's extension: theta is 0 there under every family
+        votes = write(tmp_path, "v.csv", "participant,a\np1,0\np2,0\n")
+        code = run(["posterior", "--votes", votes, "--family", family,
+                    "--out-dir", str(tmp_path / "o")])
+        assert code == 4
+        assert "deterministic" not in capsys.readouterr().err
+
     def test_capacity_exit_code(self, tmp_path):
         n = 8  # 28 symmetric variables > exact capacity
         header = "participant," + ",".join(f"a{i}" for i in range(n))

@@ -1,9 +1,9 @@
 """The vectorised likelihood path against a per-observation reference.
 
-The reference scores one observation at a time through the scalar model
-functions and sums in observation order, so ``==`` checks that batching the
-observations changes no bit of the joint log likelihood or of the Gibbs
-conditional.
+The reference scores one observation at a time through ``theta_for_attacks``
+and its own Bernoulli factor, and sums in observation order, so ``==``
+checks that batching the observations changes no bit of the joint log
+likelihood or of the Gibbs conditional.
 """
 
 import math
@@ -24,7 +24,7 @@ def reference_log_terms(obs, att, space, cfg):
     for o in obs:
         t = model.theta_for_attacks(o.subset, space.n_args, space.attacks_of(att),
                                     cfg.semantics, cfg.family, w)
-        p = model.acceptability_likelihood_value(o.label, t)
+        p = t if o.label == 1 else 1.0 - t
         if p == 0.0:
             yield -math.inf
             return

@@ -15,8 +15,9 @@ from argbayes.inference import (
 )
 from argbayes.model import (
     ModelConfig,
-    acceptability_likelihood_value,
+    log_likelihood_table,
     theta_for_attacks,
+    theta_table,
 )
 
 from oracle import all_directed_relations
@@ -145,15 +146,13 @@ class TestTheta:
     def test_monotone_in_agreement(self):
         for family, w in (("linear", None), ("exponential", 2.0),
                           ("exponential", 100.0)):
-            from argbayes.model import theta_value
-            values = [theta_value(s, s == 5, 5, family, w) for s in range(6)]
+            values = [theta_table(5, family, w)[5 - s] for s in range(6)]
             assert values == sorted(values)
 
     def test_overflow_safe_exponential(self):
-        from argbayes.model import theta_value
-        t = theta_value(9, False, 10, "exponential", 1e200)
+        t = theta_table(10, "exponential", 1e200)[10 - 9]
         assert t == pytest.approx(1e-200, rel=1e-6)
-        assert theta_value(10, True, 10, "exponential", 1e200) == pytest.approx(1.0)
+        assert theta_table(10, "exponential", 1e200)[10 - 10] == pytest.approx(1.0)
 
 
 class TestLimits:
@@ -191,18 +190,31 @@ def test_off_extension_theta_below_half_for_w_at_least_two():
 
 
 class TestLikelihood:
+    # at n = 3, w = 2 and distance 2, theta = (2^1 - 1) / (2^3 - 1) = 1/7
     def test_positive_label(self):
-        assert acceptability_likelihood_value(1, 1 / 7) == pytest.approx(1 / 7)
+        assert math.exp(log_likelihood_table(3, "exponential", 2.0)[1, 2]) == \
+            pytest.approx(1 / 7)
 
     def test_negative_label(self):
-        assert acceptability_likelihood_value(0, 1 / 7) == pytest.approx(6 / 7)
+        assert math.exp(log_likelihood_table(3, "exponential", 2.0)[0, 2]) == \
+            pytest.approx(6 / 7)
 
     def test_contradicting_certain_extension(self):
         cfg = ModelConfig(family="deterministic", w=None,
                           prediction_family="deterministic")
         t = subset_thetas((0, 0, 0), space3(), cfg)[0b111]
-        assert acceptability_likelihood_value(0, t) == 0.0
+        assert t == 1.0
+        # label 0 on an extension (distance 0) is a zero factor
+        assert log_likelihood_table(3, "deterministic", None)[0, 0] == -math.inf
 
     def test_bad_label(self):
         with pytest.raises(InputError):
-            acceptability_likelihood_value(2, 0.5)
+            Observation(0, 2)
+
+    @pytest.mark.parametrize("table", [theta_table, log_likelihood_table])
+    def test_tables_are_read_only_and_read_w_only_for_exponential(self, table):
+        for family in model.FAMILIES:
+            with pytest.raises(ValueError):
+                table(4, family, 2.0)[..., 0] = 0.5
+        for family in ("deterministic", "linear"):
+            assert table(4, family, None).tobytes() == table(4, family, 100.0).tobytes()
