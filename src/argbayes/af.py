@@ -2,14 +2,15 @@
 
 Arguments are dense indices 0..n-1; subsets of arguments are n-bit masks.
 External string identifiers are mapped to indices once at the I/O boundary.
-All functions here are pure. One kernel, ``extension_matrix``, enumerates
-extensions: it evaluates a batch of frameworks over the same arguments on all
-2^n subset masks at once, in O(2^n) time and uint16 memory per framework
-(attacked sets by subset doubling, defence by one gather); preferred adds n
-passes over 2^n/64 packed words; one call shares these stages between the
-semantics it is asked for. ``_extensions_cached`` is its batch of one, cached
-by the attack relation: one pass gives a framework's complete, preferred and
-stable extensions, and grounded is the intersection of the complete ones.
+One kernel, ``extension_matrix``, enumerates extensions of a batch of
+frameworks over the same arguments on all 2^n subset masks at once, in O(2^n)
+time and uint16 memory per framework (attacked sets by subset doubling, defence
+by one gather, into a held workspace for a batch of one: not thread-safe);
+preferred adds n passes over 2^n/64 packed words. ``_extensions_cached`` is its
+batch of one, keyed by the attack relation; grounded is the meet of the complete
+extensions. A symmetric irreflexive relation skips the passes and the meet: its
+preferred extensions are its stable ones (the maximal conflict-free sets), its
+grounded one its unattacked arguments (Coste-Marquis et al. 2005, ECSQARU).
 """
 
 from __future__ import annotations
@@ -84,10 +85,14 @@ def _extensions_cached(n: int, attacks: tuple[tuple[int, int], ...]) -> tuple:
     att_from = [0] * n
     for (a, b) in attacks:
         att_from[a] |= 1 << b
-    rows = [np.flatnonzero(m[0]) for m in extension_matrix(
-        np.array([att_from], dtype=np.uint16), SEMANTICS[1:])]
+    symmetric = all(a != b and att_from[b] >> a & 1 for (a, b) in attacks)
+    rows = [tuple(np.flatnonzero(m[0]).tolist()) for m in extension_matrix(
+        np.array([att_from], dtype=np.uint16),
+        ("complete", "stable") if symmetric else SEMANTICS[1:])]
+    if symmetric:  # grounded: the unattacked arguments, those that attack none
+        return (mask_of(a for a in range(n) if not att_from[a]),), rows[0], rows[1], rows[1]
     # there is always a complete extension, and the grounded one lies in each
-    return ((int(np.bitwise_and.reduce(rows[0])),), *(tuple(r.tolist()) for r in rows))
+    return ((int(np.bitwise_and.reduce(rows[0])),), *rows)
 
 
 def _lookup(n: int, key: tuple[tuple[int, int], ...], semantics: str) -> tuple[int, ...]:
@@ -126,6 +131,8 @@ def _subset_masks(n: int) -> np.ndarray:
 _WORD_CLEAR = np.array([0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F,
                         0x00FF00FF00FF00FF, 0x0000FFFF0000FFFF, 0x00000000FFFFFFFF],
                        dtype="<u8")
+#: The defence gather's index and result for one framework (2^n <= 2^16 entries).
+_WORKSPACE = np.empty(1 << 16, np.intp), np.empty(1 << 16, np.uint16)
 
 
 def extension_matrix(att_from: np.ndarray, semantics: str | tuple[str, ...]):
@@ -145,7 +152,8 @@ def extension_matrix(att_from: np.ndarray, semantics: str | tuple[str, ...]):
     att_from = np.asarray(att_from, dtype=np.uint16)
     subsets, full = _subset_masks(n), (1 << n) - 1
     # subset-major [2^n, B]: the subsets with top bit a are those below 2^a plus a
-    attacked = np.zeros((1 << n, batch), dtype=np.uint16)
+    attacked = np.empty((1 << n, batch), dtype=np.uint16)
+    attacked[0] = 0  # the doubling writes every other row
     for a in range(n):
         np.bitwise_or(attacked[:1 << a], att_from[:, a], out=attacked[1 << a:2 << a])
     cf = (attacked & subsets) == 0
@@ -154,10 +162,15 @@ def extension_matrix(att_from: np.ndarray, semantics: str | tuple[str, ...]):
         out["stable"] = (cf & (attacked == (subsets ^ full))).T
     if names != ("stable",):
         # s leaves a undefended when an argument s does not attack attacks a
-        unattacked = (attacked ^ full).astype(np.intp)
-        unattacked *= batch
-        unattacked += np.arange(batch)
-        defended = full ^ np.take(attacked.ravel(), unattacked)
+        index, defended = (buf[:attacked.size].reshape(attacked.shape)
+                           if batch == 1 else np.empty(attacked.shape, buf.dtype)
+                           for buf in _WORKSPACE)
+        np.bitwise_xor(attacked, full, out=index, casting="unsafe")
+        if batch > 1:
+            index *= batch
+            index += np.arange(batch)
+        np.take(attacked.ravel(), index, out=defended, mode="clip")  # raise mode would buffer
+        defended ^= full
     if "complete" in names or "grounded" in names:
         complete = cf & (defended == subsets)
         out["complete"] = complete.T

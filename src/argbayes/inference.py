@@ -279,8 +279,10 @@ def _tables(bits: np.ndarray, space: AttackVariableSpace, semantics: str,
     """Distance tables (or their ``subsets`` columns) of the frameworks of
     bit rows, through the batched kernel a chunk of rows at a time; n + 1
     marks no extension. S subsets take the least popcount against a chunk's
-    E extensions, unless its whole tables cost less (B x n x 2^n < S x E)."""
+    E extensions, unless its whole tables cost less (B x n x 2^n < S x E).
+    A symmetric space asks the kernel for stable in place of the equal preferred."""
     n, chunks = space.n_args, []
+    semantics = "stable" if space.mode == "symmetric" and semantics == "preferred" else semantics
     step = max(1, _CHUNK_ENTRIES >> n)
     for lo in range(0, max(len(bits), 1), step):
         is_ext = af.extension_matrix(bits[lo:lo + step] @ space.attack_weights, semantics)

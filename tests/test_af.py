@@ -25,6 +25,7 @@ from oracle import (
     all_directed_relations,
     all_symmetric_relations,
     brute_extensions,
+    grounded_extension,
     loop_extension_matrix,
     maximal_conflict_free_sets,
     to_mask,
@@ -214,6 +215,96 @@ def test_maximal_conflict_free_oracle_matches_brute_preferred():
         for attacks in all_symmetric_relations(n):
             assert set(maximal_conflict_free_sets(n, attacks)) == \
                 brute_extensions(n, attacks, "preferred")
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_symmetric_frameworks())
+@example((16, []))
+@example((16, [(0, 1)]))
+def test_packed_preferred_passes_on_symmetric_frameworks(framework):
+    # extensions() answers preferred on these by the theorem, so call the
+    # kernel's packed preferred passes directly
+    n, pairs = framework
+    attacks = frozenset(pairs) | {(b, a) for a, b in pairs}
+    got = np.flatnonzero(extension_matrix(attack_columns(n, [attacks]), "preferred")[0])
+    assert got.tolist() == sorted(to_mask(s) for s in maximal_conflict_free_sets(n, attacks))
+
+
+@settings(max_examples=40, deadline=None)
+@given(sparse_symmetric_frameworks())
+@example((16, [(0, 1), (2, 3)]))
+def test_symmetric_grounded_is_the_unattacked_arguments(framework):
+    n, pairs = framework
+    af = af_of(n, pairs, symmetric=True)
+    unattacked = mask_of(a for a in range(n) if all(x != a for _, x in af.attacks))
+    assert extensions(af, "grounded") == (unattacked,)
+    assert unattacked == to_mask(grounded_extension(n, af.attacks))
+
+
+def kernel_names(monkeypatch, n, pairs):
+    """The extensions of (n, pairs) under each semantics from a cold cache,
+    and the semantics names that ``_extensions_cached`` asked the kernel for."""
+    asked, kernel = [], af_module.extension_matrix
+    monkeypatch.setattr(af_module, "extension_matrix",
+                        lambda att_from, names: asked.append(names) or kernel(att_from, names))
+    _extensions_cached.cache_clear()
+    got = {semantics: extensions(af_of(n, pairs), semantics) for semantics in SEMANTICS}
+    return got, asked
+
+
+@pytest.mark.parametrize("n,pairs", [
+    (0, []), (1, []), (3, MUTUAL), (4, MUTUAL + [(1, 2), (2, 1), (2, 3), (3, 2)]),
+    (5, [(0, 4), (4, 0), (1, 3), (3, 1), (2, 3), (3, 2)])])
+def test_directed_framework_with_symmetric_relation_takes_the_shortcut(monkeypatch, n, pairs):
+    got, asked = kernel_names(monkeypatch, n, pairs)
+    assert asked == [("complete", "stable")]
+    for semantics in SEMANTICS:
+        assert set(got[semantics]) == {
+            to_mask(s) for s in brute_extensions(n, pairs, semantics)}, semantics
+
+
+def test_directed_framework_at_the_cap_without_attacks_takes_the_shortcut(monkeypatch):
+    got, asked = kernel_names(monkeypatch, 16, [])
+    assert asked == [("complete", "stable")]
+    assert got == {semantics: (FULL16,) for semantics in SEMANTICS}
+
+
+@pytest.mark.parametrize("n,pairs,preferred,stable", [
+    (1, [(0, 0)], {0}, set()),
+    (3, MUTUAL + [(2, 2)], {0b01, 0b10}, set()),
+    (3, [(0, 0), (1, 2), (2, 1)], {0b010, 0b100}, set())])
+def test_symmetric_relation_with_a_self_loop_takes_the_general_path(
+        monkeypatch, n, pairs, preferred, stable):
+    got, asked = kernel_names(monkeypatch, n, pairs)
+    assert asked == [SEMANTICS[1:]]
+    assert (set(got["preferred"]), set(got["stable"])) == (preferred, stable)
+    for semantics in SEMANTICS:
+        assert set(got[semantics]) == {
+            to_mask(s) for s in brute_extensions(n, pairs, semantics)}, semantics
+
+
+def test_kernel_results_are_never_views_of_its_workspace():
+    first = extension_matrix(random_columns(16, [(False, 0.1, 1)]), SEMANTICS)
+    kept = [m.copy() for m in first]
+    later = [extension_matrix(random_columns(8, [(True, 0.2, 2)]), SEMANTICS)]
+    frameworks = [(seed % 2 == 0, 0.15, seed) for seed in range(5)]
+    later.append(extension_matrix(random_columns(12, frameworks), SEMANTICS))
+    # 3 x 2^16 entries, three times the workspace
+    beyond = [(seed % 2 == 1, 0.1, seed) for seed in range(3)]
+    later.append(extension_matrix(random_columns(16, beyond), SEMANTICS))
+    for was, now in zip(kept, first, strict=True):
+        assert np.array_equal(was, now)
+    for result in [first] + later:
+        for m in result:
+            assert not any(np.shares_memory(m, buf) for buf in af_module._WORKSPACE)
+            assert not any(np.shares_memory(m, other) for other in first if other is not m)
+    for m in first:
+        for result in later:
+            assert not any(np.shares_memory(m, other) for other in result)
+    for (n, frameworks), batched in zip(((12, frameworks), (16, beyond)), later[1:]):
+        singles = [extension_matrix(random_columns(n, [f]), SEMANTICS) for f in frameworks]
+        for semantics, got, *rows in zip(SEMANTICS, batched, *singles, strict=True):
+            assert np.array_equal(got, np.concatenate(rows)), (n, semantics)
 
 
 class TestBasicPredicates:

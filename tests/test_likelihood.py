@@ -18,6 +18,8 @@ from argbayes.gibbs import START_DRAWS, GibbsConfig, gibbs_conditional, run_gibb
 from argbayes.inference import (AttackVariableSpace, Observation, acceptability_likelihood,
                                 likelihood_terms)
 
+from oracle import maximal_conflict_free_sets, to_mask
+
 
 def reference_log_terms(obs, att, space, cfg):
     w = cfg.w if cfg.family == "exponential" else None
@@ -257,3 +259,20 @@ def test_observed_distances_equal_table_gathers(problem):
             assert np.array_equal(inference._tables(bits, space, semantics, subsets),
                                   want[:, subsets])
     assert np.array_equal(inference._tables(bits, space, semantics), want)
+
+
+def test_symmetric_preferred_tables_are_distances_to_maximal_conflict_free_sets(monkeypatch):
+    # on a symmetric space _tables asks the kernel for stable in place of
+    # preferred; the distances must be those to the oracle's maximal
+    # conflict-free sets, whole tables and observed columns alike
+    space = AttackVariableSpace.create(4, mode="symmetric")
+    bits = space.assignment_bits()
+    want = np.array([[min(int(d ^ to_mask(e)).bit_count() for e in maximal_conflict_free_sets(
+        4, set(space.attacks_of(tuple(row))))) for d in range(16)] for row in bits.tolist()])
+    asked, kernel = [], af.extension_matrix
+    monkeypatch.setattr(af, "extension_matrix",
+                        lambda att_from, names: asked.append(names) or kernel(att_from, names))
+    assert np.array_equal(inference._tables(bits, space, "preferred"), want)
+    subsets = np.array([0, 5, 15])
+    assert np.array_equal(inference._tables(bits, space, "preferred", subsets), want[:, subsets])
+    assert set(asked) == {"stable"}
