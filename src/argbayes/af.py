@@ -7,10 +7,12 @@ frameworks over the same arguments on all 2^n subset masks at once, in O(2^n)
 time and uint16 memory per framework (attacked sets by subset doubling, defence
 by one gather, into a held workspace for a batch of one: not thread-safe);
 preferred adds n passes over 2^n/64 packed words. ``_extensions_cached`` is its
-batch of one, keyed by the attack relation; grounded is the meet of the complete
-extensions. A symmetric irreflexive relation skips the passes and the meet: its
-preferred extensions are its stable ones (the maximal conflict-free sets), its
-grounded one its unattacked arguments (Coste-Marquis et al. 2005, ECSQARU).
+batch of one for complete and stable, keyed by the attack relation. Grounded is
+the meet of the complete extensions, and preferred the complete ones with no
+complete strict superset (Dung 1995, AIJ 77): m^2 subset tests over the m complete
+masks, or the packed passes when m^2 > 2^n. A symmetric irreflexive relation needs
+neither: its preferred extensions are its stable ones (the maximal conflict-free
+sets), its grounded one its unattacked arguments (Coste-Marquis et al. 2005).
 """
 
 from __future__ import annotations
@@ -85,14 +87,15 @@ def _extensions_cached(n: int, attacks: tuple[tuple[int, int], ...]) -> tuple:
     att_from = [0] * n
     for (a, b) in attacks:
         att_from[a] |= 1 << b
-    symmetric = all(a != b and att_from[b] >> a & 1 for (a, b) in attacks)
-    rows = [tuple(np.flatnonzero(m[0]).tolist()) for m in extension_matrix(
-        np.array([att_from], dtype=np.uint16),
-        ("complete", "stable") if symmetric else SEMANTICS[1:])]
-    if symmetric:  # grounded: the unattacked arguments, those that attack none
-        return (mask_of(a for a in range(n) if not att_from[a]),), rows[0], rows[1], rows[1]
-    # there is always a complete extension, and the grounded one lies in each
-    return ((int(np.bitwise_and.reduce(rows[0])),), *rows)
+    att = np.array([att_from], dtype=np.uint16)
+    c, s = (np.flatnonzero(m[0]) for m in extension_matrix(att, ("complete", "stable")))
+    if all(a != b and att_from[b] >> a & 1 for (a, b) in attacks):  # symmetric irreflexive
+        p, g = s, mask_of(a for a in range(n) if not att_from[a])
+    else:  # c[i] has no strict superset in c if its only superset is itself
+        p = (np.flatnonzero(extension_matrix(att, "preferred")[0]) if len(c) ** 2 > 1 << n
+             else c[((c[:, None] & c) == c[:, None]).sum(axis=1) == 1])
+        g = np.bitwise_and.reduce(c)
+    return (int(g),), *(tuple(x.tolist()) for x in (c, p, s))
 
 
 def _lookup(n: int, key: tuple[tuple[int, int], ...], semantics: str) -> tuple[int, ...]:

@@ -280,12 +280,15 @@ def _tables(bits: np.ndarray, space: AttackVariableSpace, semantics: str,
     bit rows, through the batched kernel a chunk of rows at a time; n + 1
     marks no extension. S subsets take the least popcount against a chunk's
     E extensions, unless its whole tables cost less (B x n x 2^n < S x E).
-    A symmetric space asks the kernel for stable in place of the equal preferred."""
-    n, chunks = space.n_args, []
-    semantics = "stable" if space.mode == "symmetric" and semantics == "preferred" else semantics
+    A symmetric space asks the kernel for stable in place of the equal preferred,
+    and takes grounded as the one-hot mask of the unattacked arguments."""
+    n, chunks, symmetric = space.n_args, [], space.mode == "symmetric"
+    semantics = "stable" if symmetric and semantics == "preferred" else semantics
     step = max(1, _CHUNK_ENTRIES >> n)
     for lo in range(0, max(len(bits), 1), step):
-        is_ext = af.extension_matrix(bits[lo:lo + step] @ space.attack_weights, semantics)
+        att = bits[lo:lo + step] @ space.attack_weights
+        is_ext = (np.arange(1 << n) == ((att == 0) << np.arange(n)).sum(axis=1)[:, None]
+                  if symmetric and semantics == "grounded" else af.extension_matrix(att, semantics))
         if subsets is not None:
             flat = np.flatnonzero(is_ext)
             if len(subsets) * len(flat) <= is_ext.size * n:

@@ -276,11 +276,62 @@ def test_directed_framework_at_the_cap_without_attacks_takes_the_shortcut(monkey
 def test_symmetric_relation_with_a_self_loop_takes_the_general_path(
         monkeypatch, n, pairs, preferred, stable):
     got, asked = kernel_names(monkeypatch, n, pairs)
-    assert asked == [SEMANTICS[1:]]
+    # the mutual pair's 3 complete extensions need 9 > 2^3 subset tests, so at
+    # n = 3 the packed passes answer preferred
+    assert asked == [("complete", "stable")] + ["preferred"] * (n == 3)
     assert (set(got["preferred"]), set(got["stable"])) == (preferred, stable)
     for semantics in SEMANTICS:
         assert set(got[semantics]) == {
             to_mask(s) for s in brute_extensions(n, pairs, semantics)}, semantics
+
+
+# 7 mutual pairs and the chain 14 -> 15 -> 0: 3^7 complete and 2^7 preferred
+# extensions, so the 2187^2 subset tests would cost more than the packed passes
+MUTUAL7_CHAIN = [(a, a ^ 1) for a in range(14)] + [(14, 15), (15, 0)]
+
+
+def test_many_complete_extensions_take_the_packed_preferred_passes(monkeypatch):
+    got, asked = kernel_names(monkeypatch, 16, MUTUAL7_CHAIN)
+    assert asked == [("complete", "stable"), "preferred"]
+    assert [len(got[semantics]) for semantics in SEMANTICS] == [1, 2187, 128, 128]
+    assert got["grounded"] == (1 << 14,)
+    assert got["preferred"] == got["stable"]
+
+
+@st.composite
+def directed_frameworks(draw):
+    """Mutual pairs over a random pairing of the arguments, which multiply the
+    complete extensions by 3 each, maybe a self-attacker, and sparse directed
+    attacks that may self-loop."""
+    n = draw(st.integers(0, 12))
+    order = draw(st.permutations(range(n)))
+    pairs = [(order[i + j], order[i + 1 - j])
+             for i in range(0, 2 * draw(st.integers(0, n // 2) | st.just(n // 2)), 2)
+             for j in (0, 1)]
+    if n and draw(st.booleans()):
+        pairs.append((order[-1], order[-1]))
+    density = draw(st.sampled_from((0.0, 0.02, 0.05, 0.15)))
+    draws = draw(st.lists(st.floats(0, 1), min_size=n * n, max_size=n * n))
+    return n, pairs + [p for p, u in zip(itertools.product(range(n), repeat=2), draws)
+                       if u < density]
+
+
+@settings(max_examples=120, deadline=None)
+@given(directed_frameworks())
+@example((16, [(a, a + 1) for a in range(15)]))  # acyclic: one complete extension
+@example((16, MUTUAL7_CHAIN))
+def test_directed_preferred_are_the_maximal_complete_extensions(framework):
+    # Dung (1995): extensions() keeps the complete extensions with no complete
+    # strict superset, or asks the packed passes when m^2 > 2^n; both must
+    # give the passes' own answer and the oracles'
+    n, pairs = framework
+    fw = af_of(n, pairs)
+    att_from = attack_columns(n, [fw.attacks])
+    packed = np.flatnonzero(extension_matrix(att_from, "preferred")[0]).tolist()
+    assert list(extensions(fw, "preferred")) == packed
+    assert packed == np.flatnonzero(loop_extension_matrix(att_from, "preferred")[0]).tolist()
+    if n <= 12:  # the brute oracle, not the examples at the cap
+        assert set(packed) == {to_mask(s) for s in brute_extensions(n, fw.attacks, "preferred")}
 
 
 def test_kernel_results_are_never_views_of_its_workspace():

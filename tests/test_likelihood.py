@@ -276,3 +276,27 @@ def test_symmetric_preferred_tables_are_distances_to_maximal_conflict_free_sets(
     subsets = np.array([0, 5, 15])
     assert np.array_equal(inference._tables(bits, space, "preferred", subsets), want[:, subsets])
     assert set(asked) == {"stable"}
+
+
+def test_symmetric_grounded_tables_are_distances_to_the_unattacked_arguments(monkeypatch):
+    # on a symmetric space _tables takes the grounded extension as the one-hot
+    # mask of the arguments that attack none, without the kernel; whole tables
+    # and observed columns on both sides of the popcount switch must be the
+    # kernel's own distances to its grounded extension
+    asked, kernel = [], af.extension_matrix
+    monkeypatch.setattr(af, "extension_matrix",
+                        lambda att_from, names: asked.append(names) or kernel(att_from, names))
+    for n in range(1, 6):
+        space = AttackVariableSpace.create(n, mode="symmetric")
+        bits = space.assignment_bits()
+        grounded = np.argmax(kernel(bits @ space.attack_weights, "grounded"), axis=1)
+        want = np.bitwise_count(np.arange(1 << n) ^ grounded[:, None])
+        assert np.array_equal(inference._tables(bits, space, "grounded"), want)
+        # one extension per framework: up to n x 2^n subsets take the popcount,
+        # more take the whole tables
+        rng = np.random.default_rng(n)
+        for count in (1, n << n, (n << n) + 1):
+            subsets = rng.integers(0, 1 << n, count)
+            assert np.array_equal(inference._tables(bits, space, "grounded", subsets),
+                                  want[:, subsets])
+    assert asked == []
